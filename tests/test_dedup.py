@@ -187,9 +187,9 @@ def test_propagate_labels_exchange_matches_driver_unionfind(ray_session):
     )
     assert got[["doc_num", "group_id"]].equals(want[["doc_num", "group_id"]])
 
-    # and agrees with the broadcast-map implementation
+    # and with the default partitioning (16 partitions)
     got2 = (
-        dedup.propagate_min_labels(rd.from_pandas(df))
+        dedup.propagate_min_labels_exchange(rd.from_pandas(df))
         .to_pandas()
         .sort_values("doc_num")
         .reset_index(drop=True)

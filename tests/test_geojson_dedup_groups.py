@@ -73,7 +73,8 @@ def test_propagate_min_labels_matches_union_find(ray_session):
         }
     )
     ds = rd.from_arrow(t)
-    dist = dedup.propagate_min_labels(ds).to_pandas().sort_values("doc_num").reset_index(drop=True)
+    dist = (dedup.propagate_min_labels_exchange(ds).to_pandas()
+            .sort_values("doc_num").reset_index(drop=True))
     brute = dedup.dup_groups_driver(
         pd.DataFrame({"doc_a": [p[0] for p in pairs], "doc_b": [p[1] for p in pairs]})
     ).sort_values("doc_num").reset_index(drop=True)

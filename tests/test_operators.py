@@ -111,26 +111,45 @@ def test_flip_swap_roundtrip(ray_session, sf_dir):
     assert (sw["y"].values == a["x"].values).all()
 
 
+def _hierarchical_rollup(level, z_base, z_min):
+    """Level-by-level pandas rollup: each parent tile folds its four
+    children (sum counts, min/max doc) — the reference's
+    level-at-a-time pyramid, used as the oracle for the one-exchange
+    spatial pyramid."""
+    aggs = {"n_docs": "sum", "n_spans": "sum", "min_doc": "min", "max_doc": "max"}
+    parts = []
+    for z in range(z_base, z_min - 1, -1):
+        level = level.groupby(["x", "y"], as_index=False).agg(aggs)
+        parts.append(level.assign(z=z))
+        level = level.assign(x=level.x // 2, y=level.y // 2)
+    return pd.concat(parts)
+
+
 def test_pyramid_single_shuffle_equals_hierarchical(ray_session, sf_dir):
+    """The single-exchange spatial pyramid equals a level-by-level
+    rollup of the base tiles, computed independently in pandas."""
     docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), 6)
-    single = (
-        pyr.aggregate_pyramid_single_shuffle(docs, 6, 0)
-        .to_pandas()
-        .sort_values("tkey")
-        .reset_index(drop=True)
-    )
-    levels = pyr.build_pyramid(docs, 6, 0)
-    parts = [levels[z].to_pandas() for z in sorted(levels)]
-    hier = pd.concat(parts).sort_values("tkey").reset_index(drop=True)[single.columns]
+    d = docs.select_columns(["doc_num", "x", "y", "spans"]).to_pandas()
+    base = pd.DataFrame({
+        "x": d.x, "y": d.y, "n_docs": 1, "n_spans": d.spans.map(len),
+        "min_doc": d.doc_num, "max_doc": d.doc_num,
+    })
+    cols = ["z", "x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
+    hier = _hierarchical_rollup(base, 6, 0)[cols]
+    hier = hier.astype("int64").sort_values(["z", "x", "y"]).reset_index(drop=True)
+    single = pyr.aggregate_pyramid_spatial(docs, 6, 0, split_level=3, num_buckets=8).to_pandas()
+    z, x, y = assign.unpack_tkey(single["tkey"].to_numpy(dtype=np.int64))
+    single = single.assign(z=z, x=x, y=y)[cols].astype("int64")
+    single = single.sort_values(["z", "x", "y"]).reset_index(drop=True)
     assert single.equals(hier)
     # z0 aggregates everything
-    z0 = single[single.tkey == 0]
-    assert int(z0["n_docs"].iloc[0]) == 500
+    assert int(single[single.z == 0]["n_docs"].iloc[0]) == 500
 
 
 def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
-    """Map-side-shuffle pyramid == Dataset-fed spatial pyramid == single
-    shuffle, column for column (fused path is what the bench runs)."""
+    """Map-side-shuffle pyramid == Dataset-fed spatial pyramid, column
+    for column (fused path is what the bench runs), and both honour
+    z_min above split_level."""
     from versatiles_rs_ray.sources import docs as D
 
     docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), 8)
@@ -161,9 +180,24 @@ def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
         .reset_index(drop=True)
     )
     assert got1[want.columns].equals(want)
+    # z0 aggregates everything
+    assert int(want[want.tkey == 0]["n_docs"].iloc[0]) == 500
     # multi-replica totals: every level sums to 4x the docs
     for z in (0, 4, 8):
         assert int(got[got.tkey // (1 << 58) == z]["n_docs"].sum()) == 4 * 500
+
+    # z_min above split_level: exactly levels 6..8, equal to the
+    # z_min=0 pyramid restricted to z >= 6
+    want6 = want[want.tkey // (1 << 58) >= 6].reset_index(drop=True)
+    for out in (
+        pyr.aggregate_pyramid_spatial(docs, 8, 6, split_level=4, num_buckets=8),
+        pyr.aggregate_pyramid_spatial_fused(
+            specs1, D.load_shard_spec, 8, 6, split_level=4, num_buckets=8
+        ),
+    ):
+        df = out.to_pandas().sort_values("tkey").reset_index(drop=True)
+        assert sorted(set(df.tkey // (1 << 58))) == [6, 7, 8]
+        assert df[want.columns].equals(want6)
 
 
 def test_pyramid_skewed_hot_tile(ray_session):
@@ -174,8 +208,10 @@ def test_pyramid_skewed_hot_tile(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from versatiles_rs_ray.core.coords import tile_to_lonlat
     from versatiles_rs_ray.stages.pyramid import (
-        aggregate_pyramid_two_phase,
+        aggregate_pyramid_spatial,
+        aggregate_pyramid_spatial_fused,
         partial_multilevel_agg,
     )
 
@@ -193,11 +229,28 @@ def test_pyramid_skewed_hot_tile(ray_session):
     part = partial_multilevel_agg(t, 8, 0)
     assert part.num_rows == 9
     ds = rd.from_arrow(t).repartition(8)
-    out = aggregate_pyramid_two_phase(ds, 8, 0).to_pandas()
-    assert len(out) == 9  # one tile per level, all hot
-    assert (out["n_docs"] == n).all()
-    assert (out["n_spans"] == 2 * n).all()
-    assert (out["min_doc"] == 0).all() and (out["max_doc"] == n - 1).all()
+    # fused path: 8 specs, each loading one slice of the docs at the
+    # centre of tile (8, 137, 91)
+    lon, lat = tile_to_lonlat(9, 2 * 137 + 1, 2 * 91 + 1)
+    step = n // 8
+
+    def load(i):
+        return pa.table({
+            "doc_num": pa.array(np.arange(i * step, (i + 1) * step), type=pa.int64()),
+            "lon": pa.array(np.full(step, lon)),
+            "lat": pa.array(np.full(step, lat)),
+            "n_spans": pa.array(np.full(step, 2), type=pa.int64()),
+        })
+
+    for pyramid in (
+        aggregate_pyramid_spatial(ds, 8, 0),
+        aggregate_pyramid_spatial_fused(list(range(8)), load, 8, 0),
+    ):
+        out = pyramid.to_pandas()
+        assert len(out) == 9  # one tile per level, all hot
+        assert (out["n_docs"] == n).all()
+        assert (out["n_spans"] == 2 * n).all()
+        assert (out["min_doc"] == 0).all() and (out["max_doc"] == n - 1).all()
 
 
 def test_tumbling_window_matches_brute(ray_session, sf_dir):
@@ -318,7 +371,7 @@ def test_exchange_edge_cases(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from versatiles_rs_ray.stages.exchange import fused_hash_exchange, hash_exchange
+    from versatiles_rs_ray.stages.exchange import hash_exchange
 
     def ident(t):
         return t
@@ -338,17 +391,20 @@ def test_exchange_edge_cases(ray_session):
     empty = rd.from_arrow(pa.table({"k": pa.array([], type=pa.int64())}))
     out = hash_exchange(empty, "k", ident, num_partitions=4)
     assert out.count() == 0
+    # a dataset with no blocks at all, with an aux output: (Dataset, [])
+    out, aux = hash_exchange(empty.limit(0), "k", ident, num_partitions=4, aux_fn=ident)
+    assert out.count() == 0 and aux == []
 
     # single-row dataset
     one = rd.from_arrow(pa.table({"k": pa.array([7], type=pa.int64())}))
     assert hash_exchange(one, "k", ident, num_partitions=4).count() == 1
 
-    # fused exchange with no inputs: empty dataset, no crash
-    assert fused_hash_exchange([], lambda s: None, "k", ident).count() == 0
-    ds2, aux = fused_hash_exchange([], lambda s: None, "k", ident, aux_fn=ident)
+    # spec-fed exchange with no inputs: empty dataset, no crash
+    assert hash_exchange([], "k", ident, map_fn=lambda s: None).count() == 0
+    ds2, aux = hash_exchange([], "k", ident, map_fn=lambda s: None, aux_fn=ident)
     assert ds2.count() == 0 and aux == []
 
-    # fused exchange with input chunking: shrink the ref budget so 40
+    # spec-fed exchange with input chunking: shrink the ref budget so 40
     # inputs exceed max_tasks and the grouped map_many path runs
     from versatiles_rs_ray.stages import exchange as ex
 
@@ -359,7 +415,7 @@ def test_exchange_edge_cases(ray_session):
     old_budget = ex.REF_BUDGET
     ex.REF_BUDGET = 64  # max_tasks = 8 < 40 inputs -> chunked
     try:
-        many = fused_hash_exchange(list(range(40)), mk, "k", _sum_v_by_k, num_partitions=8)
+        many = hash_exchange(list(range(40)), "k", _sum_v_by_k, num_partitions=8, map_fn=mk)
         df = many.to_pandas().sort_values("k").reset_index(drop=True)
     finally:
         ex.REF_BUDGET = old_budget
@@ -865,15 +921,15 @@ def test_doc_ranks_matches_rank_window(ray_session):
 
 
 def test_fused_exchange_rejects_dataset(ray_session):
-    """fused_hash_exchange takes picklable input SPECS; a Dataset
-    accidentally passed must fail loudly at the call site, not deep
-    inside Ray pickling."""
+    """hash_exchange with a map_fn takes picklable input SPECS; a
+    Dataset accidentally passed must fail loudly at the call site, not
+    deep inside Ray pickling."""
     import pyarrow as pa
     import pytest as _pt
     import ray.data as rd
 
-    from versatiles_rs_ray.stages.exchange import fused_hash_exchange
+    from versatiles_rs_ray.stages.exchange import hash_exchange
 
     ds = rd.from_arrow(pa.table({"k": pa.array([1], type=pa.int64())}))
     with _pt.raises(TypeError, match="picklable input SPECS"):
-        fused_hash_exchange(ds, lambda s: None, "k", lambda t: t)
+        hash_exchange(ds, "k", lambda t: t, map_fn=lambda s: None)

@@ -55,25 +55,50 @@ def test_pyramid_resume(ray_session, sf_dir, tmp_path):
     assert time.monotonic() - t0 < 1.0
 
 
+def _read_sorted(out_dir):
+    df = read_pyramid(out_dir).to_pandas()
+    return df.sort_values(["z", "x", "y"]).reset_index(drop=True)
+
+
 def test_hierarchical_strategy_agrees(ray_session, sf_dir, tmp_path):
+    """Every written level equals the level-by-level rollup of the
+    level above it: parent tiles fold their four children."""
     a = str(tmp_path / "a")
-    b = str(tmp_path / "b")
-    build_and_write_pyramid(sf_dir, a, z_base=4, z_min=0, strategy="single_shuffle")
-    build_and_write_pyramid(sf_dir, b, z_base=4, z_min=0, strategy="hierarchical")
-    da = read_pyramid(a).to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
-    db = read_pyramid(b).to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
-    assert da[["z", "x", "y", "n_docs", "n_spans"]].equals(db[["z", "x", "y", "n_docs", "n_spans"]])
+    build_and_write_pyramid(sf_dir, a, z_base=4, z_min=0)
+    da = _read_sorted(a)
+    aggs = {"n_docs": "sum", "n_spans": "sum", "min_doc": "min", "max_doc": "max"}
+    cols = ["x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
+    for z in range(4):
+        child = da[da.z == z + 1]
+        want = (
+            child.assign(x=child.x // 2, y=child.y // 2)
+            .groupby(["x", "y"], as_index=False)
+            .agg(aggs)[cols]
+            .astype("int64")
+            .reset_index(drop=True)
+        )
+        got = da[da.z == z][cols].astype("int64").reset_index(drop=True)
+        assert got.equals(want)
+    assert int(da[da.z == 0]["n_docs"].iloc[0]) == 500
 
 
 def test_fused_strategy_agrees(ray_session, sf_dir, tmp_path):
+    """The written pyramid (Dataset-fed exchange) equals the map-side
+    fused exchange over shard specs of the same input."""
+    from versatiles_rs_ray.sources import docs as D
+    from versatiles_rs_ray.stages.assign import unpack_tkey
+    from versatiles_rs_ray.stages.pyramid import aggregate_pyramid_spatial_fused
+
     a = str(tmp_path / "a")
-    c = str(tmp_path / "c")
-    build_and_write_pyramid(sf_dir, a, z_base=4, z_min=0, strategy="single_shuffle")
-    build_and_write_pyramid(sf_dir, c, z_base=4, z_min=0, strategy="fused")
-    da = read_pyramid(a).to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
-    dc = read_pyramid(c).to_pandas().sort_values(["z", "x", "y"]).reset_index(drop=True)
+    build_and_write_pyramid(sf_dir, a, z_base=4, z_min=0)
+    da = _read_sorted(a)
+    fused = aggregate_pyramid_spatial_fused(
+        D.shard_specs(sf_dir, 1), D.load_shard_spec, 4, 0, num_buckets=8
+    ).to_pandas()
+    z, x, y = unpack_tkey(fused["tkey"].to_numpy(dtype="int64"))
+    dc = fused.assign(z=z, x=x, y=y).sort_values(["z", "x", "y"]).reset_index(drop=True)
     cols = ["z", "x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
-    assert da[cols].equals(dc[cols])
+    assert da[cols].astype("int64").equals(dc[cols].astype("int64"))
 
 
 def test_stale_lineage_partitions_invalidated(ray_session, sf_dir, tmp_path):

@@ -167,12 +167,6 @@ def _blocks(plane: np.ndarray) -> np.ndarray:
     )
 
 
-def _unblocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    return (
-        blocks.reshape(h // 8, w // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h, w)
-    )
-
-
 class _BitWriter:
     """MSB-first with 0xFF byte stuffing."""
 

@@ -14,7 +14,7 @@ Only stable, documented entry points are used:
 - BrotliEncoderCompress / BrotliEncoderMaxCompressedSize,
   BrotliDecoderDecompressStream (brotli/encode.h, decode.h)
 - WebPEncodeRGBA / WebPEncodeLosslessRGBA / WebPDecodeRGBA /
-  WebPGetInfo / WebPFree (webp/encode.h, decode.h)
+  WebPFree (webp/encode.h, decode.h)
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ def brotli_decompress(data: bytes) -> bytes:
 
 
 if HAVE_WEBP:
-    _webp.WebPGetInfo.restype = ctypes.c_int
-    _webp.WebPGetInfo.argtypes = [
-        ctypes.c_char_p, ctypes.c_size_t,
-        ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_int),
-    ]
     _webp.WebPDecodeRGBA.restype = ctypes.POINTER(ctypes.c_ubyte)
     _webp.WebPDecodeRGBA.argtypes = [
         ctypes.c_char_p, ctypes.c_size_t,
@@ -168,16 +163,6 @@ def webp_encode(pixels: bytes, width: int, height: int, channels: int,
         return ctypes.string_at(outp, n)
     finally:
         _webp.WebPFree(outp)
-
-
-def webp_get_info(data: bytes):
-    """(width, height) of a webp payload, or None if not webp."""
-    if not HAVE_WEBP:
-        raise RuntimeError("libwebp not available")
-    w, h = ctypes.c_int(), ctypes.c_int()
-    if not _webp.WebPGetInfo(data, len(data), ctypes.byref(w), ctypes.byref(h)):
-        return None
-    return w.value, h.value
 
 
 def webp_decode_rgba(data: bytes):

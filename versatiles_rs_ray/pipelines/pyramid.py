@@ -5,14 +5,14 @@ the graft's spatial-join + tiling engine:
 
   read docs (derived spans table)
     -> AssignTiles(z_base)                    [stateless map_batches]
-    -> per-tile aggregation                   [combiner + small groupby]
-    -> per-level hierarchical rollup to z_min [combiner + small groupby each]
+    -> every level z_base..z_min at once      [per-block partials + one
+                                               spatially routed exchange]
     -> hilbert/pk columns + parquet per level [partitioned, atomic]
 
 Every level is a partition in the checkpoint manifest
-(state/manifest.py): a killed run resumes from the last completed
-level, and each level's rollup reads the *written* parquet of the
-level below (keeps Ray lineage short and makes resume O(remaining)).
+(state/manifest.py): a killed run resumes by recomputing the stats
+table (small next to the corpus) and writing only the levels the
+manifest does not mark done.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ import pyarrow as pa
 from ..core import coords
 from ..sources.docs import read_docs
 from ..stages.assign import assign_tiles, unpack_tkey
-from ..stages.pyramid import (
-    aggregate_docs_to_tiles,
-    aggregate_pyramid_spatial,
-    rollup_level,
-)
+from ..stages.exchange import hash_exchange
+from ..stages.pyramid import aggregate_pyramid_spatial, combine_tile_stats_block
 from ..state.manifest import Manifest, lineage_hash
 
 
@@ -54,42 +51,25 @@ def build_pyramid(sf_dir: str, z_base: int, z_min: int = 0, replicate: int = 1):
     return tiles.map_batches(finalize_level, batch_format="pyarrow")
 
 
-def build_pyramid_levels(sf_dir: str, z_base: int, z_min: int = 0, replicate: int = 1):
-    """Hierarchical per-level pyramid: {z: Dataset} (each level derived
-    from the one below — the scale path when z_base is deep and the
-    combined tile-stats table would be large)."""
-    docs = read_docs(sf_dir, replicate=replicate)
-    docs = assign_tiles(docs, z_base)
-    levels = {z_base: aggregate_docs_to_tiles(docs)}
-    for z in range(z_base, z_min, -1):
-        levels[z - 1] = rollup_level(levels[z])
-    return {z: ds.map_batches(finalize_level, batch_format="pyarrow") for z, ds in levels.items()}
-
-
 def build_and_write_pyramid(
     sf_dir: str,
     out_dir: str,
     z_base: int = 10,
     z_min: int = 0,
     replicate: int = 1,
-    strategy: str = "single_shuffle",
 ):
     """Resumable pyramid build; returns the manifest records per level.
 
-    strategy="single_shuffle" (default): all levels from one combiner
-    pass + one groupby, then per-level partition writes from the
-    materialized (small) tile-stats table. strategy="hierarchical":
-    each level from the previously *written* level below — the path
-    for very deep pyramids where even the stats table is huge, and the
-    finest-grained resume.
+    All levels come from one spatially routed exchange
+    (stages/pyramid.aggregate_pyramid_spatial), materialized once as
+    the (small) tile-stats table; each level missing from the manifest
+    is then written as its own atomic partition.
     """
-    import ray.data as rd
-
     params = {
         "z_base": z_base,
         "z_min": z_min,
         "replicate": replicate,
-        "strategy": strategy,
+        "strategy": "single_shuffle",  # unchanged: pyramids built earlier resume, not rebuild
         "v": 2,
     }
     lineage = lineage_hash([f"{sf_dir}/documents.parquet"], params)
@@ -101,45 +81,11 @@ def build_and_write_pyramid(
     if not missing:
         return records
 
-    def write_level(z: int, level_ds):
-        _write_level(manifest, records, z, level_ds)
-
-    if strategy in ("single_shuffle", "fused"):
-        if strategy == "fused":
-            # map-side shuffle: load->assign->partial->split in one task
-            from ..sources.docs import load_shard_spec, shard_specs
-            from ..stages.pyramid import aggregate_pyramid_spatial_fused
-
-            specs = shard_specs(sf_dir, replicate)
-            tiles = aggregate_pyramid_spatial_fused(specs, load_shard_spec, z_base, z_min)
-        else:
-            docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
-            tiles = aggregate_pyramid_spatial(docs, z_base, z_min)
-        tiles = tiles.map_batches(finalize_level, batch_format="pyarrow").materialize()
-        for z in missing:
-            write_level(z, tiles.filter(expr=f"z == {z}"))
-        return records
-
-    # hierarchical
-    if f"z={z_base}" not in done:
-        docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
-        write_level(
-            z_base,
-            aggregate_docs_to_tiles(docs).map_batches(finalize_level, batch_format="pyarrow"),
-        )
-    for z in range(z_base, z_min, -1):
-        if f"z={z - 1}" in done:
-            continue
-        import os
-
-        part = manifest.partition_dir(f"z={z}")
-        below = rd.read_parquet(
-            [os.path.join(part, f) for f in sorted(os.listdir(part))],
-            columns=["tkey", "n_docs", "n_spans", "min_doc", "max_doc"],
-        )
-        write_level(
-            z - 1, rollup_level(below).map_batches(finalize_level, batch_format="pyarrow")
-        )
+    docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
+    tiles = aggregate_pyramid_spatial(docs, z_base, z_min)
+    tiles = tiles.map_batches(finalize_level, batch_format="pyarrow").materialize()
+    for z in missing:
+        _write_level(manifest, records, z, tiles.filter(expr=f"z == {z}"))
     return records
 
 
@@ -221,8 +167,6 @@ def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
     merge would silently drop corpus data). pytest asserts
     bit-equality with a full rebuild of base+delta.
     """
-    from ..stages.pyramid import combine_partials
-
     base_all = Manifest(base_dir, "")._all_records()
     want = {f"z={z}" for z in range(z_min, z_base + 1)}
     if set(base_all) != want:
@@ -248,8 +192,8 @@ def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
         num_buckets=num_buckets,
     ).select_columns(stats_cols)
     base_tiles = read_pyramid(base_dir).select_columns(stats_cols)
-    merged = combine_partials(base_tiles.union(delta_tiles),
-                              num_buckets=num_buckets)
+    merged = hash_exchange(base_tiles.union(delta_tiles), "tkey",
+                           combine_tile_stats_block, num_partitions=num_buckets)
     tiles = merged.map_batches(finalize_level, batch_format="pyarrow").materialize()
     for z in missing:
         _write_level(manifest, records, z, tiles.filter(expr=f"z == {z}"))

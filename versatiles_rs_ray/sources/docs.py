@@ -458,9 +458,9 @@ def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: in
 def shard_specs(sf_dir: str, replicate: int, shards_per_task: int = 64, columns=None):
     """Picklable input specs for fused map-side stages (one per task).
 
-    The fused exchange (stages/exchange.fused_hash_exchange) takes the
-    read as a pure function of a spec instead of a Dataset — mirroring
-    per-fragment reads of a many-fragment Lance/parquet table.
+    The spec-fed exchange (stages/exchange.hash_exchange with map_fn)
+    takes the read as a pure function of a spec instead of a Dataset —
+    mirroring per-fragment reads of a many-fragment Lance/parquet table.
     """
     path = f"{sf_dir}/documents.parquet"
     out = []

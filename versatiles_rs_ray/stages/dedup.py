@@ -693,7 +693,7 @@ def dup_groups_driver(pairs_df) -> "pd.DataFrame":
     Driver-side: the verified-pair set is small by design (LSH prunes
     first). Returns (doc_num, group_id) with group_id = min doc in the
     component. For pair sets too large for the driver, use
-    :func:`propagate_min_labels`.
+    :func:`propagate_min_labels_exchange`.
     """
     parent = {}
 
@@ -710,20 +710,6 @@ def dup_groups_driver(pairs_df) -> "pd.DataFrame":
             parent[hi] = lo
     docs = sorted({int(v) for v in pairs_df["doc_a"]} | {int(v) for v in pairs_df["doc_b"]})
     return pd.DataFrame({"doc_num": docs, "group_id": [find(d) for d in docs]})
-
-
-def propagate_min_labels(pairs_ds, max_rounds: int = 64, num_partitions: int = 16):
-    """Distributed connected components — alias for
-    :func:`propagate_min_labels_exchange`.
-
-    Round 1 also carried a driver-side variant (per-round broadcast
-    label dict + per-row relabel); it was a scale-killer and has been
-    removed so no pipeline can pick it by accident. The co-partitioned
-    exchange path is strictly better at every scale.
-    """
-    return propagate_min_labels_exchange(
-        pairs_ds, max_rounds=max_rounds, num_partitions=num_partitions
-    )
 
 
 # ---- SimHash -----------------------------------------------------------
@@ -1232,8 +1218,8 @@ def propagate_min_labels_exchange(pairs_ds, max_rounds: int = 64, num_partitions
     its labels (searchsorted — labels are sorted per partition), the
     flowed (src, label) rows split back by hash(src), and a reduce
     takes per-doc mins. The driver only ever sees P change-counts per
-    round. Replaces the broadcast-dict relabel (propagate_min_labels)
-    at corpus scale; equality is pytest-verified.
+    round; no broadcast label dict. Equality with the union-find
+    reference (dup_groups_driver) is pytest-verified.
 
     Runs until a full round changes nothing (min-label propagation
     needs O(component diameter) rounds); ``max_rounds`` is a safety

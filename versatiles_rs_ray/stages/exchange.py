@@ -5,8 +5,15 @@ this box; the aggregation pattern here (combine-by-key where partials
 are already per-block combined) needs only a hash partition + per-
 partition merge. This is the one place the engine drops below the
 Dataset API (SURVEY.md §7.0: raw tasks as a last resort), and it keeps
-the Dataset contract at both ends: Dataset in, Dataset out via
-`to_arrow_refs` / `from_arrow_refs` — blocks never touch the driver.
+the Dataset contract at the output: a Dataset via ``from_arrow_refs``
+— blocks never touch the driver.
+
+One entry point, ``hash_exchange``, with two split sources picked
+from its input: a Dataset's blocks streamed into split tasks, or a
+list of picklable input specs mapped and split in one fused task
+(map-side shuffle write). Everything after the split — the reduce
+wave, the optional per-partition ``aux_fn`` side output and empty-
+input handling — is shared.
 
 Partitioning assumption: `key_col` is int64; routing is by
 multiplicative hash so consecutive tile keys spread uniformly. Each
@@ -21,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 _HASH_MULT = 0x9E3779B97F4A7C15
-# driver-side intermediate-ref budget for the fused exchange
+# driver-side intermediate-ref budget for the spec-fed exchange
 # (len(inputs-after-grouping) x num_partitions <= REF_BUDGET).
 # Measured at 400M docs / 64 partitions: raising this to 32768 (417
 # tasks, ~27k refs, 417-arg reduce calls) is 2.2x SLOWER than 16384
@@ -59,49 +66,74 @@ def _split_block(key_col: str, num_partitions: int, *tables):
 def _empty_combined(ds, combine_block_fn):
     """No-splits fallback: run the combine on a 0-row schema-bearing
     table so the output keeps the POST-combine schema (returning the
-    input dataset would leak pre-combine columns like the route)."""
+    input dataset would leak pre-combine columns like the route). When
+    the schema is unknowable the input dataset comes back unchanged."""
     import ray.data as rd
 
     schema = ds.schema()
     if schema is None or not schema.names:
-        return None  # schema unknowable: caller returns ds unchanged
+        return ds
     empty = pa.table({n: pa.array([], type=t)
                       for n, t in zip(schema.names, schema.types)})
     return rd.from_arrow(combine_block_fn(empty))
 
 
-def hash_exchange(ds, key_col: str, combine_block_fn, num_partitions: int = 64):
-    """Dataset -> hash-partitioned Dataset, one combined block per partition.
+def hash_exchange(source, key_col: str, combine_block_fn, num_partitions: int = 64,
+                  *, map_fn=None, aux_fn=None):
+    """Hash-partition ``source`` on ``key_col``; one combined block per partition.
 
     combine_block_fn: pa.Table -> pa.Table, applied once per partition
-    after concatenating that partition's slices from every input block
-    (it must be a top-level picklable callable). Routing hashes
+    after concatenating that partition's slices from every split (it
+    must be a top-level picklable callable). Routing hashes
     ``key_col`` — to route by something other than the combine key,
     precompute a routing column and pass that as key_col (the combine
     fn sees the full rows either way).
 
-    Split tasks launch as upstream blocks STREAM out of the map
-    pipeline (``iter_internal_ref_bundles``), overlapping the exchange
-    with upstream compute instead of waiting for a full materialize
-    barrier; the reduce wave starts as soon as the last split lands.
-    Block groups grow geometrically so the driver tracks a bounded
-    number of intermediate objects (~64 split tasks x num_partitions)
-    no matter how many input blocks stream past.
+    The split source follows the input:
+
+    - ``map_fn`` None: ``source`` is a Dataset. Split tasks launch as
+      its blocks STREAM out of the upstream pipeline
+      (``iter_internal_ref_bundles``), overlapping the exchange with
+      upstream compute; block groups grow geometrically so the driver
+      tracks a bounded number of intermediate objects (~64 split tasks
+      x num_partitions) however many blocks stream past.
+    - ``map_fn`` given: ``source`` is a list of picklable input specs
+      (shard descriptors, fragment lists) and ``map_fn(spec) ->
+      pa.Table`` runs FUSED with its bucket split in one task — the
+      map-side shuffle write of Spark/MR: mapper output never
+      round-trips through the object store unsplit. Specs are chunked
+      so tasks x num_partitions stays <= REF_BUDGET.
+
+    ``aux_fn``: each reduce also returns ``aux_fn(combined_table)`` as
+    a SECOND object, kept tiny by construction (e.g. one level's rows)
+    so the driver can ``ray.get`` all of them without pulling the main
+    partitions. With it the result is ``(Dataset, list[ObjectRef])``
+    (an empty list for empty input); without it just the Dataset.
     """
     import ray
     import ray.data as rd
 
-    reduce_task = ray.remote(_reduce_partition)
-
-    split_lists = _stream_splits(ds, key_col, num_partitions)
+    assert num_partitions >= 2, "use a plain map for a single partition"
+    if map_fn is None:
+        split_lists = _stream_splits(source, key_col, num_partitions)
+    else:
+        split_lists = _map_splits(source, map_fn, key_col, num_partitions)
     if not split_lists:
-        combined = _empty_combined(ds, combine_block_fn)
-        return combined if combined is not None else ds
-    out_refs = [
-        reduce_task.remote(combine_block_fn, *[s[b] for s in split_lists])
+        out = (_empty_combined(source, combine_block_fn) if map_fn is None
+               else rd.from_arrow(pa.table({})))
+        return out if aux_fn is None else (out, [])
+    if aux_fn is None:
+        reduce_task, fns = ray.remote(_reduce_partition), (combine_block_fn,)
+    else:
+        reduce_task = ray.remote(num_returns=2)(_reduce_partition_aux)
+        fns = (combine_block_fn, aux_fn)
+    outs = [
+        reduce_task.remote(*fns, *[s[b] for s in split_lists])
         for b in range(num_partitions)
     ]
-    return rd.from_arrow_refs(out_refs)
+    if aux_fn is None:
+        return rd.from_arrow_refs(outs)
+    return rd.from_arrow_refs([o[0] for o in outs]), [o[1] for o in outs]
 
 
 def _stream_splits(ds, key_col: str, num_partitions: int):
@@ -109,7 +141,6 @@ def _stream_splits(ds, key_col: str, num_partitions: int):
     per-split lists of num_partitions output refs."""
     import ray
 
-    assert num_partitions >= 2, "use a plain map for a single partition"
     split_task = ray.remote(num_returns=num_partitions)(_split_block)
     split_lists = []
     pending = []
@@ -128,30 +159,37 @@ def _stream_splits(ds, key_col: str, num_partitions: int):
     return split_lists
 
 
-def hash_exchange_with_aux(
-    ds, key_col: str, combine_block_fn, aux_fn, num_partitions: int = 64
-):
-    """hash_exchange + a small per-partition side output.
+def _map_split(map_fn, key_col, num_partitions, inp):
+    return _split_block(key_col, num_partitions, map_fn(inp))
 
-    Each reduce additionally returns ``aux_fn(combined_table)`` as a
-    SECOND object — kept tiny by construction (e.g. one level's rows)
-    so the driver can ``ray.get`` all of them without pulling the main
-    partitions. Returns ``(Dataset, list[ObjectRef[pa.Table]])``.
-    """
+
+def _map_splits(inputs, map_fn, key_col: str, num_partitions: int):
+    """Launch one fused map+split task per input spec (or chunk of
+    specs); returns the per-task lists of num_partitions output refs."""
     import ray
-    import ray.data as rd
 
-    reduce_task = ray.remote(num_returns=2)(_reduce_partition_aux)
+    if hasattr(inputs, "iter_internal_ref_bundles") or hasattr(
+            inputs, "map_batches"):
+        raise TypeError(
+            "hash_exchange(..., map_fn=...) takes a list of picklable input "
+            "SPECS (shard descriptors / fragment lists), not a Dataset — a "
+            "Dataset would fail deep inside Ray when pickled into the map "
+            "task. Call hash_exchange(ds, ...) without map_fn for a Dataset.")
+    # chunk inputs if the ref product would swamp the driver
+    max_tasks = max(2, REF_BUDGET // num_partitions)
+    if len(inputs) > max_tasks:
+        group = (len(inputs) + max_tasks - 1) // max_tasks
+        grouped = [inputs[i : i + group] for i in range(0, len(inputs), group)]
 
-    split_lists = _stream_splits(ds, key_col, num_partitions)
-    if not split_lists:
-        combined = _empty_combined(ds, combine_block_fn)
-        return (combined if combined is not None else ds), []
-    outs = [
-        reduce_task.remote(combine_block_fn, aux_fn, *[s[b] for s in split_lists])
-        for b in range(num_partitions)
-    ]
-    return rd.from_arrow_refs([o[0] for o in outs]), [o[1] for o in outs]
+        def map_many(grp, _fn=map_fn):
+            import pyarrow as _pa
+
+            return _pa.concat_tables([_fn(g) for g in grp], promote_options="default")
+
+        inputs, map_fn = grouped, map_many
+
+    map_task = ray.remote(num_returns=num_partitions)(_map_split)
+    return [map_task.remote(map_fn, key_col, num_partitions, inp) for inp in inputs]
 
 
 def _reduce_partition_aux(combine_block_fn, aux_fn, *parts):
@@ -173,73 +211,3 @@ def _reduce_partition(combine_block_fn, *parts):
         return parts[0]
     merged = pa.concat_tables(tables, promote_options="default").combine_chunks()
     return combine_block_fn(merged)
-
-
-# ---- map-side shuffle (fused map + split) ------------------------------
-
-
-def _map_split(map_fn, key_col, num_partitions, inp):
-    return _split_block(key_col, num_partitions, map_fn(inp))
-
-
-def fused_hash_exchange(inputs, map_fn, key_col, combine_block_fn,
-                        num_partitions: int = 64, aux_fn=None):
-    """Map-side shuffle: ``map_fn(input) -> pa.Table`` runs FUSED with
-    its bucket split in one task (``num_returns=num_partitions``) — the
-    classic map-side shuffle write (Spark/MR): the mapper's output
-    never round-trips through the object store unsplit, saving one
-    full write+read of the exchanged bytes vs hash_exchange over a
-    Dataset. Use when the map stage can be expressed as a pure
-    function of a picklable input spec (e.g. a shard/fragment list);
-    keep hash_exchange for arbitrary upstream Datasets.
-
-    With ``aux_fn`` returns ``(Dataset, list[ObjectRef])`` as
-    hash_exchange_with_aux; else just the Dataset.
-
-    Driver bookkeeping: len(inputs) x num_partitions intermediate
-    refs; inputs are chunked so that product stays <= REF_BUDGET.
-    """
-    import ray
-    import ray.data as rd
-
-    assert num_partitions >= 2
-    if hasattr(inputs, "iter_internal_ref_bundles") or hasattr(
-            inputs, "map_batches"):
-        raise TypeError(
-            "fused_hash_exchange takes a list of picklable input SPECS "
-            "(shard descriptors / fragment lists), not a Dataset — a "
-            "Dataset would fail deep inside Ray when pickled into the "
-            "map task. Use hash_exchange(ds, ...) for a Dataset input.")
-    if not inputs:
-        empty = rd.from_arrow(pa.table({}))
-        return (empty, []) if aux_fn is not None else empty
-    # chunk inputs if the ref product would swamp the driver
-    max_tasks = max(2, REF_BUDGET // num_partitions)
-    if len(inputs) > max_tasks:
-        group = (len(inputs) + max_tasks - 1) // max_tasks
-        grouped = [inputs[i : i + group] for i in range(0, len(inputs), group)]
-
-        def map_many(grp, _fn=map_fn):
-            import pyarrow as _pa
-
-            return _pa.concat_tables([_fn(g) for g in grp], promote_options="default")
-
-        inputs, map_fn = grouped, map_many
-
-    map_task = ray.remote(num_returns=num_partitions)(_map_split)
-    split_lists = [
-        map_task.remote(map_fn, key_col, num_partitions, inp) for inp in inputs
-    ]
-    if aux_fn is None:
-        reduce_task = ray.remote(_reduce_partition)
-        out_refs = [
-            reduce_task.remote(combine_block_fn, *[s[b] for s in split_lists])
-            for b in range(num_partitions)
-        ]
-        return rd.from_arrow_refs(out_refs)
-    reduce_task = ray.remote(num_returns=2)(_reduce_partition_aux)
-    outs = [
-        reduce_task.remote(combine_block_fn, aux_fn, *[s[b] for s in split_lists])
-        for b in range(num_partitions)
-    ]
-    return rd.from_arrow_refs([o[0] for o in outs]), [o[1] for o in outs]

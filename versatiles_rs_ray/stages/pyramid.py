@@ -1,14 +1,15 @@
-"""Tile-pyramid aggregation: docs -> per-tile rows -> hierarchical rollup.
+"""Tile-pyramid aggregation: docs -> per-tile stats for every level.
 
 The Ray-Data reformulation of the reference's overview loop
 (versatiles_pipeline/src/operations/raster/raster_overview.rs:36-240):
-instead of a DepthFirst traversal with a Push/Pop cache, every level is
-a Dataset derived from the level below by a partial-aggregate (inside
-``map_batches``, the combiner) followed by a small ``groupby`` on the
-packed parent tile key. The per-batch combiner bounds the rows entering
-every shuffle to (distinct tiles in batch) regardless of skew — the
-explicit skew handling the north rule demands: a hot low-zoom tile
-contributes at most one partial row per upstream batch.
+instead of a DepthFirst traversal with a Push/Pop cache, per-tile
+stats are decomposable aggregates (sum/min/max), so one pass derives
+every level. Each input block is combined to base-level partials (the
+combiner bounds the rows entering the shuffle to distinct tiles per
+block regardless of skew: a hot tile contributes at most one partial
+row per block), routed by its ``split_level`` ancestor cell through ONE
+hash exchange, and each partition derives its complete subtrees
+locally; the few levels below ``split_level`` finish on the driver.
 """
 
 from __future__ import annotations
@@ -46,41 +47,6 @@ def _partials_table(tkey, n_docs, n_spans, min_doc, max_doc) -> pa.Table:
     )
 
 
-def partial_doc_agg(batch: pa.Table) -> pa.Table:
-    """Docs batch (z, x, y, doc_num, spans) -> per-tile partial stats."""
-    tkey = pack_tkey(
-        np.asarray(batch["z"], dtype=np.int64),
-        np.asarray(batch["x"], dtype=np.int64),
-        np.asarray(batch["y"], dtype=np.int64),
-    )
-    doc_num = np.asarray(batch["doc_num"], dtype=np.int64)
-    spans = batch["spans"]
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    n_spans = np.asarray(pc.list_value_length(spans), dtype=np.int64)
-    ones = np.ones(len(doc_num), dtype=np.int64)
-    return _partials_table(*_group_partials(tkey, ones, n_spans, doc_num, doc_num))
-
-
-def partial_parent_agg(batch: pa.Table) -> pa.Table:
-    """Tile-stats batch -> partial stats of the parent level (z-1, x>>1, y>>1).
-
-    Semantics of ``TileCoord::as_level_decreased`` (tile_coord.rs:185-188)
-    applied to aggregates instead of pixels.
-    """
-    z, x, y = unpack_tkey(np.asarray(batch["tkey"], dtype=np.int64))
-    parent = pack_tkey(z - 1, x >> 1, y >> 1)
-    return _partials_table(
-        *_group_partials(
-            parent,
-            np.asarray(batch["n_docs"], dtype=np.int64),
-            np.asarray(batch["n_spans"], dtype=np.int64),
-            np.asarray(batch["min_doc"], dtype=np.int64),
-            np.asarray(batch["max_doc"], dtype=np.int64),
-        )
-    )
-
-
 def combine_tile_stats_block(table: pa.Table) -> pa.Table:
     """Vectorized combine of one hash partition's partial rows."""
     return _partials_table(
@@ -94,21 +60,6 @@ def combine_tile_stats_block(table: pa.Table) -> pa.Table:
     )
 
 
-def combine_partials(ds, num_buckets: int = 64):
-    """Final combine: hash exchange + vectorized per-partition merge.
-
-    A plain ``groupby("tkey").aggregate(...)`` pays per-group Python
-    overhead (millions of tile keys) and Ray's sort shuffle pays ~60s
-    on 40M rows; the hand-rolled hash exchange (stages/exchange.py)
-    routes partials straight to one combiner task per partition.
-    num_buckets bounds per-task memory (rows/num_buckets) — raise it
-    on a big cluster.
-    """
-    from .exchange import hash_exchange
-
-    return hash_exchange(ds, "tkey", combine_tile_stats_block, num_partitions=num_buckets)
-
-
 def unpack_tile_columns(batch: pa.Table) -> pa.Table:
     """Add back z/x/y from the packed tkey (for outputs/oracles)."""
     z, x, y = unpack_tkey(np.asarray(batch["tkey"], dtype=np.int64))
@@ -117,53 +68,22 @@ def unpack_tile_columns(batch: pa.Table) -> pa.Table:
     return batch.append_column("y", pa.array(y, type=pa.int64()))
 
 
-def aggregate_docs_to_tiles(docs_ds):
-    """Docs with (z,x,y) -> one row per tile with doc/span stats."""
-    partials = docs_ds.map_batches(partial_doc_agg, batch_format="pyarrow")
-    return combine_partials(partials)
+def _morton_rollup(m, nd, ns, mn, mx, z_top: int, z_min: int) -> pa.Table:
+    """Stats keyed by morton cell ``m`` at level z_top -> partials for
+    every level z_top..z_min.
 
-
-def partial_multilevel_agg(batch: pa.Table, z_base: int, z_min: int = 0) -> pa.Table:
-    """Per-batch partials for EVERY level z_min..z_base at once.
-
-    Each doc contributes one tile per level (parent keys are bit
-    shifts), so all per-level partials come out of one pass over the
-    batch and the whole pyramid needs ONE shuffle instead of one per
-    level — the decisive restructuring vs the reference's per-level
-    DepthFirst traversal (raster_overview.rs): aggregates are
-    decomposable, images are not.
-
-    Kernel: ONE argsort by the Morton key, then a run-length
-    ``reduceat`` per level on arrays that shrink as levels collapse
-    (parent morton = key >> 2 preserves sort order) — instead of one
-    full np.unique sort per level.
+    ONE argsort by the morton key, then a run-length ``reduceat`` per
+    level on arrays that shrink as levels collapse (parent morton =
+    key >> 2 preserves sort order) — instead of one full np.unique
+    sort per level.
     """
-    from ..core.coords import morton_key, morton_to_xy
+    from ..core.coords import morton_to_xy
 
-    z = np.asarray(batch["z"], dtype=np.int64)
-    assert int(z.min(initial=z_base)) == z_base and int(z.max(initial=z_base)) == z_base
-    x = np.asarray(batch["x"], dtype=np.int64)
-    y = np.asarray(batch["y"], dtype=np.int64)
-    doc_num = np.asarray(batch["doc_num"], dtype=np.int64)
-    if "n_spans" in batch.column_names:  # pruned read (sources/docs.py)
-        n_spans = np.asarray(batch["n_spans"], dtype=np.int64)
-    else:
-        spans = batch["spans"]
-        if isinstance(spans, pa.ChunkedArray):
-            spans = spans.combine_chunks()
-        n_spans = np.asarray(pc.list_value_length(spans), dtype=np.int64)
-
-    m = np.asarray(morton_key(x, y))
     order = np.argsort(m, kind="stable")
-    keys = m[order]
-    nd = np.ones(len(keys), dtype=np.int64)
-    ns = n_spans[order]
-    mn = doc_num[order]
-    mx = mn.copy()
-
+    keys, nd, ns, mn, mx = m[order], nd[order], ns[order], mn[order], mx[order]
     tables = []
-    for lvl in range(z_base, z_min - 1, -1):
-        if lvl < z_base:
+    for lvl in range(z_top, z_min - 1, -1):
+        if lvl < z_top:
             keys = keys >> 2  # parent morton, still sorted
         if len(keys):
             starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
@@ -178,79 +98,96 @@ def partial_multilevel_agg(batch: pa.Table, z_base: int, z_min: int = 0) -> pa.T
     return pa.concat_tables(tables)
 
 
-def partial_levels_from_tiles(batch: pa.Table, z_from: int, z_min: int = 0) -> pa.Table:
-    """Tile-stats rows (tkey at z_from+1..) -> partials for z_from..z_min.
+def partial_multilevel_agg(batch: pa.Table, z_base: int, z_min: int = 0) -> pa.Table:
+    """Per-batch partials for EVERY level z_min..z_base at once.
 
-    Same morton single-sort kernel as partial_multilevel_agg but the
-    input is already-combined tile stats, so the emitted volume is a
-    fraction of doc-level partials — the second phase of the two-phase
-    pyramid aggregation.
+    Each doc contributes one tile per level (parent keys are bit
+    shifts), so all per-level partials come out of one pass over the
+    batch — the decisive restructuring vs the reference's per-level
+    DepthFirst traversal (raster_overview.rs): aggregates are
+    decomposable, images are not.
     """
-    from ..core.coords import morton_key, morton_to_xy
+    from ..core.coords import morton_key
+
+    z = np.asarray(batch["z"], dtype=np.int64)
+    assert int(z.min(initial=z_base)) == z_base and int(z.max(initial=z_base)) == z_base
+    x = np.asarray(batch["x"], dtype=np.int64)
+    y = np.asarray(batch["y"], dtype=np.int64)
+    doc_num = np.asarray(batch["doc_num"], dtype=np.int64)
+    if "n_spans" in batch.column_names:  # pruned read (sources/docs.py)
+        n_spans = np.asarray(batch["n_spans"], dtype=np.int64)
+    else:
+        spans = batch["spans"]
+        if isinstance(spans, pa.ChunkedArray):
+            spans = spans.combine_chunks()
+        n_spans = np.asarray(pc.list_value_length(spans), dtype=np.int64)
+    ones = np.ones(len(doc_num), dtype=np.int64)
+    return _morton_rollup(np.asarray(morton_key(x, y)), ones, n_spans, doc_num, doc_num,
+                          z_base, z_min)
+
+
+def partial_levels_from_tiles(batch: pa.Table, z_from: int, z_min: int = 0) -> pa.Table:
+    """Tile-stats rows (tkey at z_from+1) -> partials for z_from..z_min.
+
+    Same morton single-sort kernel as partial_multilevel_agg, but the
+    input is already-combined tile stats, so the emitted volume is a
+    fraction of doc-level partials.
+    """
+    from ..core.coords import morton_key
 
     z, x, y = unpack_tkey(np.asarray(batch["tkey"], dtype=np.int64))
-    m = np.asarray(morton_key(x, y)) >> 2  # parent morton (z_from)
-    order = np.argsort(m, kind="stable")
-    keys = m[order]
-    nd = np.asarray(batch["n_docs"], dtype=np.int64)[order]
-    ns = np.asarray(batch["n_spans"], dtype=np.int64)[order]
-    mn = np.asarray(batch["min_doc"], dtype=np.int64)[order]
-    mx = np.asarray(batch["max_doc"], dtype=np.int64)[order]
-
-    tables = []
-    for lvl in range(z_from, z_min - 1, -1):
-        if lvl < z_from:
-            keys = keys >> 2
-        if len(keys):
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-            keys = keys[starts]
-            nd = np.add.reduceat(nd, starts)
-            ns = np.add.reduceat(ns, starts)
-            mn = np.minimum.reduceat(mn, starts)
-            mx = np.maximum.reduceat(mx, starts)
-        lx, ly = morton_to_xy(keys)
-        tkey = pack_tkey(np.full(len(keys), lvl, dtype=np.int64), lx, ly)
-        tables.append(_partials_table(tkey, nd, ns, mn, mx))
-    return pa.concat_tables(tables)
-
-
-def aggregate_pyramid_two_phase(docs_ds, z_base: int, z_min: int = 0, num_buckets=64):
-    """Full pyramid with TWO small exchanges instead of one big one.
-
-    Phase A: exchange per-block partials of the BASE level only
-    (~1 row/doc). Phase B: derive every lower level's partials from
-    the combined base tiles (already ~3x smaller than the doc count at
-    z12) and exchange those. Total exchanged bytes drop ~4x vs the
-    all-levels single exchange — the difference between fitting in the
-    object store and spilling at 10^8-doc scale.
-    """
-    base_partials = docs_ds.map_batches(
-        lambda t: partial_multilevel_agg(t, z_base, z_base), batch_format="pyarrow"
+    return _morton_rollup(
+        np.asarray(morton_key(x, y)) >> 2,  # parent morton (z_from)
+        np.asarray(batch["n_docs"], dtype=np.int64),
+        np.asarray(batch["n_spans"], dtype=np.int64),
+        np.asarray(batch["min_doc"], dtype=np.int64),
+        np.asarray(batch["max_doc"], dtype=np.int64),
+        z_from,
+        z_min,
     )
-    base = combine_partials(base_partials, num_buckets=num_buckets).materialize()
-    if z_min == z_base:
-        return base
-    lower_partials = base.map_batches(
-        lambda t: partial_levels_from_tiles(t, z_base - 1, z_min), batch_format="pyarrow"
-    )
-    lower = combine_partials(lower_partials, num_buckets=num_buckets)
-    return base.union(lower)
 
 
-def _subtree_combine(table: pa.Table, z_base: int, split_level: int) -> pa.Table:
+def _subtree_combine(table: pa.Table, z_base: int, z_low: int) -> pa.Table:
     """Per-partition: combine base-level rows, then derive every level
-    down to split_level locally — EXACT because spatial routing put the
-    complete split_level subtree of every tile into this partition."""
+    down to z_low locally — EXACT because spatial routing put the
+    complete split_level subtree (z_low >= split_level) of every tile
+    into this partition."""
     combined = combine_tile_stats_block(table)
-    if z_base > split_level:
-        lowers = partial_levels_from_tiles(combined, z_base - 1, split_level)
+    if z_base > z_low:
+        lowers = partial_levels_from_tiles(combined, z_base - 1, z_low)
         combined = pa.concat_tables([combined, lowers])
     return combined
 
 
+def _take_level(table: pa.Table, level: int) -> pa.Table:
+    if table.num_rows == 0 or "tkey" not in table.column_names:
+        return table.slice(0, 0)
+    z = np.asarray(table["tkey"], dtype=np.int64) >> TKEY_Z_SHIFT
+    return table.filter(pa.array(z == level))
+
+
+def _routed_partials(batch: pa.Table, z_base: int, shift: int) -> pa.Table:
+    """Docs with z/x/y at z_base -> base-level partials + spatial route
+    column (the ancestor morton cell ``shift`` levels up)."""
+    from ..core.coords import morton_key
+
+    t = partial_multilevel_agg(batch, z_base, z_base)
+    z, x, y = unpack_tkey(np.asarray(t["tkey"], dtype=np.int64))
+    anc = np.asarray(morton_key(x >> shift, y >> shift))
+    return t.append_column("route", pa.array(anc, type=pa.int64()))
+
+
+def _fused_doc_partials(spec, load_fn, z_base: int, shift: int) -> pa.Table:
+    """One fused map task: load spec -> assign tiles -> routed partials."""
+    from .assign import AssignTiles
+
+    return _routed_partials(AssignTiles(z_base)(load_fn(spec)), z_base, shift)
+
+
 def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level: int = 6,
                               num_buckets: int = 64):
-    """Full pyramid with ONE exchange, spatially routed.
+    """Full pyramid z_base..z_min from a Dataset of docs carrying z/x/y
+    at z_base, with ONE exchange, spatially routed.
 
     Base-level partials are routed by their ``split_level`` ancestor
     cell (morton prefix), so each partition holds complete subtrees
@@ -265,149 +202,65 @@ def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level:
     partition at (docs in cell / blocks) partial rows — the per-block
     combiner still caps shuffle volume.
     """
-    import functools
-
-    import ray
-    import ray.data as rd
-
-    from ..core.coords import morton_key
-    from .exchange import hash_exchange, hash_exchange_with_aux
-
-    split_level = min(split_level, z_base)
-    shift = z_base - split_level
-
-    def partials_with_route(batch: pa.Table) -> pa.Table:
-        t = partial_multilevel_agg(batch, z_base, z_base)
-        z, x, y = unpack_tkey(np.asarray(t["tkey"], dtype=np.int64))
-        anc = np.asarray(morton_key(x >> shift, y >> shift))
-        return t.append_column("route", pa.array(anc, type=pa.int64()))
-
-    partials = docs_ds.map_batches(partials_with_route, batch_format="pyarrow")
-    comb = functools.partial(_subtree_combine, z_base=z_base, split_level=split_level)
-    if z_min >= split_level:
-        return hash_exchange(partials, "route", comb, num_partitions=num_buckets)
-
-    # each reduce also emits its split-level rows as a tiny aux output
-    # (<= 4^split_level rows in total across partitions), so the
-    # z<split tail derives on the driver from a few KB — no extra task
-    # wave, no full-partition fetch.
-    upper, aux_refs = hash_exchange_with_aux(
-        partials,
-        "route",
-        comb,
-        functools.partial(_take_level, level=split_level),
-        num_partitions=num_buckets,
-    )
-    if not aux_refs:
-        return upper  # empty input
-    aux_tables = [t for t in ray.get(aux_refs) if t.num_rows]
-    if not aux_tables:
-        return upper  # no tiles at split level (empty partitions)
-    split_rows = pa.concat_tables(aux_tables, promote_options="default")
-    tail = partial_levels_from_tiles(split_rows, split_level - 1, z_min)
-    return upper.union(rd.from_arrow(tail))
-
-
-def _take_level(table: pa.Table, level: int) -> pa.Table:
-    if table.num_rows == 0 or "tkey" not in table.column_names:
-        return table.slice(0, 0)
-    z = np.asarray(table["tkey"], dtype=np.int64) >> TKEY_Z_SHIFT
-    return table.filter(pa.array(z == level))
-
-
-def _fused_doc_partials(spec, load_fn, z_base: int, shift: int) -> pa.Table:
-    """One fused map task: load spec -> assign tiles -> base-level
-    partials -> spatial route column (ancestor morton cell)."""
-    from ..core.coords import morton_key
-    from .assign import AssignTiles
-
-    t = AssignTiles(z_base)(load_fn(spec))
-    t = partial_multilevel_agg(t, z_base, z_base)
-    z, x, y = unpack_tkey(np.asarray(t["tkey"], dtype=np.int64))
-    anc = np.asarray(morton_key(x >> shift, y >> shift))
-    return t.append_column("route", pa.array(anc, type=pa.int64()))
+    return _spatial_pyramid(docs_ds, None, z_base, z_min, split_level, num_buckets)
 
 
 def aggregate_pyramid_spatial_fused(specs, load_fn, z_base: int, z_min: int = 0,
                                     split_level: int = 6, num_buckets: int = 64):
     """aggregate_pyramid_spatial with MAP-SIDE shuffle writes.
 
-    Same semantics and routing as aggregate_pyramid_spatial, but the
-    load -> assign -> partial -> bucket-split chain runs fused in one
-    task per input spec (exchange.fused_hash_exchange), so mapper
-    output never round-trips through the object store unsplit — ~17%
-    faster and better-scaling than the Dataset-fed exchange. Use when
-    the source is expressible as picklable shard specs
-    (sources/docs.shard_specs, or Lance/parquet fragment lists);
-    equality with the Dataset path is pytest-verified.
+    Same semantics and routing, but the load -> assign -> partial ->
+    bucket-split chain runs fused in one task per input spec
+    (``hash_exchange(..., map_fn=...)``), so mapper output never
+    round-trips through the object store unsplit — ~17% faster and
+    better-scaling than the Dataset-fed exchange. Use when the source
+    is expressible as picklable shard specs (sources/docs.shard_specs,
+    or Lance/parquet fragment lists); ``load_fn(spec)`` returns docs
+    with lon/lat. Equality with the Dataset path is pytest-verified.
     """
+    return _spatial_pyramid(specs, load_fn, z_base, z_min, split_level, num_buckets)
+
+
+def _spatial_pyramid(source, load_fn, z_base, z_min, split_level, num_buckets):
+    """Shared body: a Dataset of z/x/y docs when ``load_fn`` is None,
+    else a list of specs for the fused map-side exchange."""
     import functools
 
     import ray
     import ray.data as rd
 
-    from .exchange import fused_hash_exchange
+    from .exchange import hash_exchange
 
     split_level = min(split_level, z_base)
     shift = z_base - split_level
-    map_fn = functools.partial(
-        _fused_doc_partials, load_fn=load_fn, z_base=z_base, shift=shift
-    )
-    comb = functools.partial(_subtree_combine, z_base=z_base, split_level=split_level)
+    if load_fn is None:
+        source = source.map_batches(
+            functools.partial(_routed_partials, z_base=z_base, shift=shift),
+            batch_format="pyarrow",
+        )
+        map_fn = None
+    else:
+        map_fn = functools.partial(
+            _fused_doc_partials, load_fn=load_fn, z_base=z_base, shift=shift
+        )
+    comb = functools.partial(_subtree_combine, z_base=z_base, z_low=max(z_min, split_level))
     if z_min >= split_level:
-        return fused_hash_exchange(specs, map_fn, "route", comb, num_partitions=num_buckets)
-    upper, aux_refs = fused_hash_exchange(
-        specs,
-        map_fn,
-        "route",
-        comb,
-        num_partitions=num_buckets,
+        return hash_exchange(source, "route", comb, num_buckets, map_fn=map_fn)
+
+    # each reduce also emits its split-level rows as a tiny aux output
+    # (<= 4^split_level rows in total across partitions), so the
+    # z<split tail derives on the driver from a few KB — no extra task
+    # wave, no full-partition fetch.
+    upper, aux_refs = hash_exchange(
+        source, "route", comb, num_buckets, map_fn=map_fn,
         aux_fn=functools.partial(_take_level, level=split_level),
     )
     aux_tables = [t for t in ray.get(aux_refs) if t.num_rows]
     if not aux_tables:
-        return upper
+        return upper  # empty input, or no tiles at split level
     split_rows = pa.concat_tables(aux_tables, promote_options="default")
     tail = partial_levels_from_tiles(split_rows, split_level - 1, z_min)
     return upper.union(rd.from_arrow(tail))
-
-
-def aggregate_pyramid_single_shuffle(docs_ds, z_base: int, z_min: int = 0, num_buckets=64):
-    """Full pyramid (all levels) with one combiner pass + one groupby.
-
-    The combiner collapses tile keys within each input block before the
-    shuffle; block size (set at the read) is the knob that trades
-    combine ratio against task parallelism.
-    """
-    partials = docs_ds.map_batches(
-        lambda t: partial_multilevel_agg(t, z_base, z_min),
-        batch_format="pyarrow",
-        # batch_size deliberately None: per-block batches keep the
-        # fused read->derive->assign->partial chain one task per input
-        # block; a coalescing batch_size here would serialize upstream
-        # tasks (sources/docs.py note). Block size is set at the read.
-    )
-    return combine_partials(partials, num_buckets=num_buckets)
-
-
-def rollup_level(tiles_ds):
-    """One hierarchical step: level z stats -> level z-1 stats."""
-    partials = tiles_ds.map_batches(partial_parent_agg, batch_format="pyarrow")
-    return combine_partials(partials)
-
-
-def build_pyramid(docs_with_tiles, z_base: int, z_min: int = 0):
-    """Full pyramid z_base..z_min as a dict {z: Dataset of tile stats}.
-
-    Each level feeds the next; Ray materializes levels lazily when the
-    caller consumes them. For very deep pyramids the caller should
-    consume (write) each level before deriving the next to keep lineage
-    short — see pipelines/pyramid.py.
-    """
-    levels = {z_base: aggregate_docs_to_tiles(docs_with_tiles)}
-    for z in range(z_base, z_min, -1):
-        levels[z - 1] = rollup_level(levels[z])
-    return levels
 
 
 # ---- tile payload materialization --------------------------------------

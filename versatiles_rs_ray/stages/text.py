@@ -227,24 +227,6 @@ def fingerprint_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def lang_accuracy(ds):
-    """Aggregate: per true lang, docs and correct guesses (diagnostics)."""
-    from ray.data.aggregate import Count, Sum
-
-    def add_hit(batch: pa.Table) -> pa.Table:
-        hit = (
-            np.asarray(batch["lang"].to_pandas()) == np.asarray(batch["lang_guess"].to_pandas())
-        ).astype(np.int64)
-        return batch.append_column("hit", pa.array(hit, type=pa.int64()))
-
-    return (
-        ds.map_batches(LangId, batch_format="pyarrow", concurrency=(1, 2))
-        .map_batches(add_hit, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("hit", alias_name="n_correct"))
-    )
-
-
 # GPT-2-style pre-tokenizer pattern, restricted to RE2-compatible
 # syntax (no lookahead) so Python re and the DuckDB oracle's
 # regexp_extract_all count the IDENTICAL matches. Pieces: common
