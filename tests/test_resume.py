@@ -1,11 +1,20 @@
 """Checkpoint/resume: partitions skip on matching lineage, rebuild on
 input/param change (north rule: resumable from checkpoint)."""
 
+import glob
 import json
+import os
 import shutil
 import time
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from versatiles_rs_ray.pipelines import pyramid as P
 from versatiles_rs_ray.pipelines.pyramid import build_and_write_pyramid, read_pyramid
+from versatiles_rs_ray.stages.assign import pack_tkey
 from versatiles_rs_ray.state.manifest import Manifest, lineage_hash
 
 
@@ -16,11 +25,11 @@ def test_manifest_atomic_commit(tmp_path):
     with open(f"{tmp}/data.txt", "w") as f:
         f.write("x")
     rec = m.commit("p1", tmp, rows=1, wall_s=0.5)
-    assert m.is_done("p1")
+    assert "p1" in m.load()
     assert rec["lineage"] == "abc123"
     # different lineage does not see p1 as done
     m2 = Manifest(str(tmp_path / "out"), "other")
-    assert not m2.is_done("p1")
+    assert "p1" not in m2.load()
 
 
 def test_lineage_sensitive_to_params(sf_dir):
@@ -29,10 +38,20 @@ def test_lineage_sensitive_to_params(sf_dir):
     assert lineage_hash(files, {"a": 1}) == lineage_hash(files, {"a": 1})
 
 
+def _assert_committed(out, rec):
+    """Every level's manifest row count is what reading it back gives,
+    and no partition's tmp dir is left behind."""
+    counts = read_pyramid(out).to_pandas()["z"].value_counts()
+    assert {p: r["rows"] for p, r in rec.items()} == {
+        f"z={z}": int(n) for z, n in counts.items()}
+    assert glob.glob(f"{out}/*.tmp-*") == []
+
+
 def test_pyramid_resume(ray_session, sf_dir, tmp_path):
     out = str(tmp_path / "pyr")
     rec = build_and_write_pyramid(sf_dir, out, z_base=5, z_min=0)
     assert sorted(rec) == [f"z={z}" for z in range(6)]
+    _assert_committed(out, rec)
     df = read_pyramid(out).to_pandas()
     assert int(df[df.z == 0]["n_docs"].iloc[0]) == 500
 
@@ -43,7 +62,8 @@ def test_pyramid_resume(ray_session, sf_dir, tmp_path):
         f.write("\n".join(keep) + "\n")
     shutil.rmtree(f"{out}/z=0")
     shutil.rmtree(f"{out}/z=1")
-    build_and_write_pyramid(sf_dir, out, z_base=5, z_min=0)
+    rec = build_and_write_pyramid(sf_dir, out, z_base=5, z_min=0)
+    _assert_committed(out, rec)
     df2 = read_pyramid(out).to_pandas()
     assert df.sort_values(["z", "x", "y"]).reset_index(drop=True).equals(
         df2.sort_values(["z", "x", "y"]).reset_index(drop=True)
@@ -53,6 +73,71 @@ def test_pyramid_resume(ray_session, sf_dir, tmp_path):
     t0 = time.monotonic()
     build_and_write_pyramid(sf_dir, out, z_base=5, z_min=0)
     assert time.monotonic() - t0 < 1.0
+
+
+def _tile_stats(levels):
+    """A combined tile-stats block holding every tile of ``levels``."""
+    z = np.concatenate([np.full(4 ** lv, lv) for lv in levels]).astype(np.int64)
+    x = np.concatenate([np.arange(4 ** lv) % (2 ** lv) for lv in levels]).astype(np.int64)
+    y = np.concatenate([np.arange(4 ** lv) // (2 ** lv) for lv in levels]).astype(np.int64)
+    n = np.arange(len(z), dtype=np.int64)
+    return pa.table({"tkey": pack_tkey(z, x, y), "n_docs": n + 1, "n_spans": n + 2,
+                     "min_doc": n, "max_doc": n + 3})
+
+
+def _level_files(d):
+    return {f: pq.read_metadata(os.path.join(d, f)).num_rows for f in os.listdir(d)}
+
+
+def test_write_block_retry_overwrites(tmp_path):
+    """A retried write task replaces its own files: each level still
+    holds exactly one file, with the same rows as the first attempt;
+    levels not asked for are not written."""
+    dirs = {z: str(tmp_path / f"z={z}") for z in (1, 2)}
+    for d in dirs.values():
+        os.makedirs(d)
+    batch = _tile_stats([0, 1, 2])
+    first = P._write_block(batch, dirs)
+    files = {z: _level_files(d) for z, d in dirs.items()}
+    assert {z: list(f.values()) for z, f in files.items()} == {1: [4], 2: [16]}
+    assert P._write_block(batch, dirs).equals(first)
+    assert {z: _level_files(d) for z, d in dirs.items()} == files
+    assert sorted(zip(first["z"].to_pylist(), first["rows"].to_pylist())) == [(1, 4), (2, 16)]
+
+
+@pytest.mark.parametrize("batch", [_tile_stats([1]).slice(0, 0), pa.table({})],
+                         ids=["zero_rows", "schema_less"])
+def test_write_block_empty(tmp_path, batch):
+    out = P._write_block(batch, {1: str(tmp_path)})
+    assert out.num_rows == 0 and out.column_names == ["z", "rows"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_level_commit_guard(ray_session, sf_dir, tmp_path, monkeypatch):
+    """A level whose parquet footers disagree with the rows the write
+    tasks reported is never committed; a re-run rebuilds it."""
+    out = str(tmp_path / "pyr")
+    stray = str(tmp_path / "stray.parquet")
+    pq.write_table(_tile_stats([2]).slice(0, 1), stray)
+    begin = Manifest.begin
+
+    def begin_with_stray(self, partition):
+        tmp = begin(self, partition)
+        if partition == "z=2":
+            shutil.copy(stray, os.path.join(tmp, "part-stray.parquet"))
+        return tmp
+
+    monkeypatch.setattr(Manifest, "begin", begin_with_stray)
+    with pytest.raises(RuntimeError, match="z=2"):
+        build_and_write_pyramid(sf_dir, out, z_base=4, z_min=0)
+    assert "z=2" not in Manifest(out, "")._all_records()
+    monkeypatch.undo()
+
+    rec = build_and_write_pyramid(sf_dir, out, z_base=4, z_min=0)
+    _assert_committed(out, rec)
+    clean = str(tmp_path / "clean")
+    build_and_write_pyramid(sf_dir, clean, z_base=4, z_min=0)
+    assert _read_sorted(out).equals(_read_sorted(clean))
 
 
 def _read_sorted(out_dir):

@@ -7,7 +7,10 @@ the graft's spatial-join + tiling engine:
     -> AssignTiles(z_base)                    [stateless map_batches]
     -> every level z_base..z_min at once      [per-block partials + one
                                                spatially routed exchange]
-    -> hilbert/pk columns + parquet per level [partitioned, atomic]
+    -> one write round                        [per block: hilbert/pk
+                                               columns, one parquet file
+                                               per missing level; then
+                                               one atomic commit per level]
 
 Every level is a partition in the checkpoint manifest
 (state/manifest.py): a killed run resumes by recomputing the stats
@@ -17,10 +20,12 @@ manifest does not mark done.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from ..core import coords
 from ..sources.docs import read_docs
@@ -61,9 +66,9 @@ def build_and_write_pyramid(
     """Resumable pyramid build; returns the manifest records per level.
 
     All levels come from one spatially routed exchange
-    (stages/pyramid.aggregate_pyramid_spatial), materialized once as
-    the (small) tile-stats table; each level missing from the manifest
-    is then written as its own atomic partition.
+    (stages/pyramid.aggregate_pyramid_spatial); one write round over
+    its partitions (``_write_level``) then writes every level missing
+    from the manifest, each committed as its own atomic partition.
     """
     params = {
         "z_base": z_base,
@@ -82,10 +87,8 @@ def build_and_write_pyramid(
         return records
 
     docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
-    tiles = aggregate_pyramid_spatial(docs, z_base, z_min)
-    tiles = tiles.map_batches(finalize_level, batch_format="pyarrow").materialize()
-    for z in missing:
-        _write_level(manifest, records, z, tiles.filter(expr=f"z == {z}"))
+    _write_level(manifest, records, missing,
+                 aggregate_pyramid_spatial(docs, z_base, z_min))
     return records
 
 
@@ -98,7 +101,6 @@ def read_pyramid(out_dir: str, z_levels=None):
     input change can never mix old- and new-lineage levels. Directories
     without a manifest are read as-is (plain parquet layout)."""
     import json
-    import os
 
     import ray.data as rd
 
@@ -129,21 +131,65 @@ def read_pyramid(out_dir: str, z_levels=None):
     return rd.read_parquet(files)
 
 
-def _write_level(manifest: Manifest, records: dict, z: int, level_ds):
-    """Atomic level write: begin -> parquet -> re-read count -> commit
-    (shared by build/increment so the resume protocol cannot diverge)."""
-    import os
+def _write_level(manifest: Manifest, records: dict, levels: list, tiles):
+    """Write every level in ``levels`` from the combined tile stats
+    ``tiles`` in one task round, then commit each level atomically
+    (shared by build/increment so the resume protocol cannot diverge).
 
-    import ray.data as rd
+    begin one tmp dir per level -> one ``_write_block`` task per block
+    -> per level, the rows the tasks report must equal the rows in the
+    parquet footers of that level's tmp dir -> commit. On a mismatch
+    nothing is committed and the round's tmp dirs are removed."""
+    import functools
+    import shutil
 
     t0 = time.monotonic()
-    tmp = manifest.begin(f"z={z}")
-    level_ds.write_parquet(tmp)
-    rows = rd.read_parquet(
-        [os.path.join(tmp, f) for f in sorted(os.listdir(tmp))]
-    ).count()
-    records[f"z={z}"] = manifest.commit(f"z={z}", tmp, rows,
-                                        time.monotonic() - t0)
+    tmp = {z: manifest.begin(f"z={z}") for z in levels}
+    reported = dict.fromkeys(levels, 0)
+    for r in tiles.map_batches(functools.partial(_write_block, level_dirs=tmp),
+                               batch_format="pyarrow", batch_size=None).take_all():
+        reported[r["z"]] += r["rows"]
+    for z in levels:
+        stored = sum(pq.read_metadata(os.path.join(tmp[z], f)).num_rows
+                     for f in os.listdir(tmp[z]) if f.endswith(".parquet"))
+        if stored != reported[z]:
+            for d in tmp.values():
+                shutil.rmtree(d, ignore_errors=True)
+            raise RuntimeError(f"z={z}: tasks reported {reported[z]} rows, "
+                               f"parquet footers hold {stored}")
+    wall_s = time.monotonic() - t0
+    for z in levels:
+        records[f"z={z}"] = manifest.commit(f"z={z}", tmp[z], reported[z], wall_s)
+
+
+def _write_block(batch: pa.Table, level_dirs: dict) -> pa.Table:
+    """One task of the write round: finalize an exchange block and write
+    one parquet file per level of ``level_dirs`` it holds into that
+    level's dir. Returns the (z, rows) of every file written.
+
+    A file is named after the smallest tkey in it, so a retried task
+    overwrites its own file instead of adding a second copy; it is
+    written under a dot-prefixed, non-.parquet name and renamed into
+    place, so no reader ever lists a half-written file."""
+    zs, rows = [], []
+    if batch.num_rows:  # an empty partition may come as schema-less pa.table({})
+        batch = finalize_level(batch)
+        z = np.asarray(batch["z"])
+        tkey = np.asarray(batch["tkey"])
+        for level in np.unique(z).tolist():
+            if level not in level_dirs:
+                continue
+            mask = z == level
+            part = batch.filter(pa.array(mask))
+            name = f"part-{int(tkey[mask].min()):016x}.parquet"
+            d = level_dirs[level]
+            tmp = os.path.join(d, f".{name}.tmp-{os.getpid()}")
+            pq.write_table(part, tmp)
+            os.replace(tmp, os.path.join(d, name))
+            zs.append(level)
+            rows.append(part.num_rows)
+    return pa.table({"z": pa.array(zs, type=pa.int64()),
+                     "rows": pa.array(rows, type=pa.int64())})
 
 
 def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
@@ -194,7 +240,5 @@ def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
     base_tiles = read_pyramid(base_dir).select_columns(stats_cols)
     merged = hash_exchange(base_tiles.union(delta_tiles), "tkey",
                            combine_tile_stats_block, num_partitions=num_buckets)
-    tiles = merged.map_batches(finalize_level, batch_format="pyarrow").materialize()
-    for z in missing:
-        _write_level(manifest, records, z, tiles.filter(expr=f"z == {z}"))
+    _write_level(manifest, records, missing, merged)
     return records

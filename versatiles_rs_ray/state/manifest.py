@@ -54,9 +54,6 @@ class Manifest:
                         done[rec["partition"]] = rec
         return done
 
-    def is_done(self, partition: str) -> bool:
-        return partition in self.load()
-
     def _all_records(self) -> dict:
         """partition -> LATEST record, regardless of lineage."""
         recs = {}
