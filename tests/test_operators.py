@@ -125,31 +125,44 @@ def _hierarchical_rollup(level, z_base, z_min):
     return pd.concat(parts)
 
 
-def test_pyramid_single_shuffle_equals_hierarchical(ray_session, sf_dir):
-    """The single-exchange spatial pyramid equals a level-by-level
-    rollup of the base tiles, computed independently in pandas."""
-    docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), 6)
+_ROLLUP_COLS = ["z", "x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
+
+
+def _rollup_oracle(docs, z_base, z_min):
+    """_hierarchical_rollup of the docs' base tiles, sorted by z/x/y."""
     d = docs.select_columns(["doc_num", "x", "y", "spans"]).to_pandas()
     base = pd.DataFrame({
         "x": d.x, "y": d.y, "n_docs": 1, "n_spans": d.spans.map(len),
         "min_doc": d.doc_num, "max_doc": d.doc_num,
     })
-    cols = ["z", "x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
-    hier = _hierarchical_rollup(base, 6, 0)[cols]
-    hier = hier.astype("int64").sort_values(["z", "x", "y"]).reset_index(drop=True)
-    single = pyr.aggregate_pyramid_spatial(docs, 6, 0, split_level=3, num_buckets=8).to_pandas()
-    z, x, y = assign.unpack_tkey(single["tkey"].to_numpy(dtype=np.int64))
-    single = single.assign(z=z, x=x, y=y)[cols].astype("int64")
-    single = single.sort_values(["z", "x", "y"]).reset_index(drop=True)
+    hier = _hierarchical_rollup(base, z_base, z_min)[_ROLLUP_COLS]
+    return hier.astype("int64").sort_values(["z", "x", "y"]).reset_index(drop=True)
+
+
+def _pyramid_zxy(df):
+    """Pyramid frame (tkey + stats) -> z/x/y frame, sorted like the oracle."""
+    z, x, y = assign.unpack_tkey(df["tkey"].to_numpy(dtype=np.int64))
+    df = df.assign(z=z, x=x, y=y)[_ROLLUP_COLS].astype("int64")
+    return df.sort_values(["z", "x", "y"]).reset_index(drop=True)
+
+
+def test_pyramid_single_shuffle_equals_hierarchical(ray_session, sf_dir):
+    """The single-exchange spatial pyramid equals a level-by-level
+    rollup of the base tiles, computed independently in pandas."""
+    docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), 6)
+    hier = _rollup_oracle(docs, 6, 0)
+    single = _pyramid_zxy(
+        pyr.aggregate_pyramid_spatial(docs, 6, 0, split_level=3, num_buckets=8).to_pandas())
     assert single.equals(hier)
     # z0 aggregates everything
     assert int(single[single.z == 0]["n_docs"].iloc[0]) == 500
 
 
 def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
-    """Map-side-shuffle pyramid == Dataset-fed spatial pyramid, column
-    for column (fused path is what the bench runs), and both honour
-    z_min above split_level."""
+    """Spec-fed pyramid == Dataset-fed spatial pyramid, column for
+    column (the spec-fed entry is what the bench runs), both honour
+    z_min above split_level, and the spec-fed result equals the
+    independent pandas rollup for z_min=0 and z_min=6."""
     from versatiles_rs_ray.sources import docs as D
 
     docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), 8)
@@ -168,8 +181,8 @@ def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
         .sort_values("tkey")
         .reset_index(drop=True)
     )
-    # fused path read 4 replicas; restrict the Dataset path comparison to
-    # replica 0 via a fresh fused run on one replica
+    # spec-fed path read 4 replicas; restrict the Dataset path comparison to
+    # replica 0 via a fresh spec-fed run on one replica
     specs1 = D.shard_specs(sf_dir, 1, shards_per_task=2)
     got1 = (
         pyr.aggregate_pyramid_spatial_fused(
@@ -180,6 +193,7 @@ def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
         .reset_index(drop=True)
     )
     assert got1[want.columns].equals(want)
+    assert _pyramid_zxy(got1).equals(_rollup_oracle(docs, 8, 0))
     # z0 aggregates everything
     assert int(want[want.tkey == 0]["n_docs"].iloc[0]) == 500
     # multi-replica totals: every level sums to 4x the docs
@@ -189,6 +203,7 @@ def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
     # z_min above split_level: exactly levels 6..8, equal to the
     # z_min=0 pyramid restricted to z >= 6
     want6 = want[want.tkey // (1 << 58) >= 6].reset_index(drop=True)
+    oracle6 = _rollup_oracle(docs, 8, 6)
     for out in (
         pyr.aggregate_pyramid_spatial(docs, 8, 6, split_level=4, num_buckets=8),
         pyr.aggregate_pyramid_spatial_fused(
@@ -198,6 +213,7 @@ def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
         df = out.to_pandas().sort_values("tkey").reset_index(drop=True)
         assert sorted(set(df.tkey // (1 << 58))) == [6, 7, 8]
         assert df[want.columns].equals(want6)
+        assert _pyramid_zxy(df).equals(oracle6)
 
 
 def test_pyramid_skewed_hot_tile(ray_session):
@@ -369,6 +385,7 @@ def test_hopping_window_validation(ray_session):
 def test_exchange_edge_cases(ray_session):
     import numpy as np
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
     from versatiles_rs_ray.stages.exchange import hash_exchange
@@ -399,27 +416,27 @@ def test_exchange_edge_cases(ray_session):
     one = rd.from_arrow(pa.table({"k": pa.array([7], type=pa.int64())}))
     assert hash_exchange(one, "k", ident, num_partitions=4).count() == 1
 
-    # spec-fed exchange with no inputs: empty dataset, no crash
-    assert hash_exchange([], "k", ident, map_fn=lambda s: None).count() == 0
-    ds2, aux = hash_exchange([], "k", ident, map_fn=lambda s: None, aux_fn=ident)
-    assert ds2.count() == 0 and aux == []
-
-    # spec-fed exchange with input chunking: shrink the ref budget so 40
-    # inputs exceed max_tasks and the grouped map_many path runs
+    # 43 one-row blocks: five full 8-block split groups plus a 3-block
+    # tail group; per-key sums must be exact with and without aux_fn
     from versatiles_rs_ray.stages import exchange as ex
 
-    def mk(spec):
-        return pa.table({"k": pa.array([spec % 5], type=pa.int64()),
-                         "v": pa.array([1], type=pa.int64())})
+    many = rd.from_arrow([
+        pa.table({"k": pa.array([i % 5], type=pa.int64()),
+                  "v": pa.array([i], type=pa.int64())})
+        for i in range(43)
+    ])
+    assert len(ex._stream_splits(many, "k", 8)) == 6
+    want = {k: sum(i for i in range(43) if i % 5 == k) for k in range(5)}
 
-    old_budget = ex.REF_BUDGET
-    ex.REF_BUDGET = 64  # max_tasks = 8 < 40 inputs -> chunked
-    try:
-        many = hash_exchange(list(range(40)), "k", _sum_v_by_k, num_partitions=8, map_fn=mk)
-        df = many.to_pandas().sort_values("k").reset_index(drop=True)
-    finally:
-        ex.REF_BUDGET = old_budget
-    assert df["v"].sum() == 40 and len(df) == 5
+    def sums(ds):
+        df = ds.to_pandas()
+        assert len(df) == 5
+        return dict(zip(df["k"].tolist(), df["v"].tolist()))
+
+    assert sums(hash_exchange(many, "k", _sum_v_by_k, num_partitions=8)) == want
+    out, aux = hash_exchange(many, "k", _sum_v_by_k, num_partitions=8, aux_fn=ident)
+    assert sums(out) == want and len(aux) == 8
+    assert sums(rd.from_arrow(ray.get(aux))) == want
 
 
 def test_topk_per_key_ties_and_prune(ray_session):
@@ -920,16 +937,14 @@ def test_doc_ranks_matches_rank_window(ray_session):
     assert mine["rnk"].min() == 1 and mine["rnk"].max() <= len(mine)
 
 
-def test_fused_exchange_rejects_dataset(ray_session):
-    """hash_exchange with a map_fn takes picklable input SPECS; a
-    Dataset accidentally passed must fail loudly at the call site, not
-    deep inside Ray pickling."""
-    import pyarrow as pa
-    import pytest as _pt
-    import ray.data as rd
+def test_fused_pyramid_empty_specs(ray_session):
+    """No specs: the spec-fed pyramid returns 0 rows without calling
+    load_fn, both through the driver tail (z_min below split_level,
+    the aux_fn path) and without it (z_min at split_level)."""
+    from versatiles_rs_ray.stages.pyramid import aggregate_pyramid_spatial_fused
 
-    from versatiles_rs_ray.stages.exchange import hash_exchange
+    def load(spec):
+        raise AssertionError("no spec to load")
 
-    ds = rd.from_arrow(pa.table({"k": pa.array([1], type=pa.int64())}))
-    with _pt.raises(TypeError, match="picklable input SPECS"):
-        hash_exchange(ds, "k", lambda t: t, map_fn=lambda s: None)
+    assert aggregate_pyramid_spatial_fused([], load, 8, 0).count() == 0
+    assert aggregate_pyramid_spatial_fused([], load, 8, 6, split_level=6).count() == 0

@@ -130,7 +130,7 @@ def test_write_level_commit_guard(ray_session, sf_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(Manifest, "begin", begin_with_stray)
     with pytest.raises(RuntimeError, match="z=2"):
         build_and_write_pyramid(sf_dir, out, z_base=4, z_min=0)
-    assert "z=2" not in Manifest(out, "")._all_records()
+    assert "z=2" not in Manifest(out, "").latest()
     monkeypatch.undo()
 
     rec = build_and_write_pyramid(sf_dir, out, z_base=4, z_min=0)

@@ -164,7 +164,7 @@ def cmd_status(args):
         print(json.dumps({"output": args.output, "partitions": 0,
                           "error": "no _manifest.jsonl"}))
         return 1
-    recs = Manifest(args.output, "")._all_records()
+    recs = Manifest(args.output, "").latest()
     lineages = {}
     for p, r in sorted(recs.items()):
         lineages.setdefault(r.get("lineage", "?"), []).append(r)

@@ -92,7 +92,7 @@ def build_and_write_pyramid(
     return records
 
 
-def read_pyramid(out_dir: str, z_levels=None):
+def read_pyramid(out_dir: str):
     """Read the native pyramid layout back as one Dataset.
 
     Consults `_manifest.jsonl` when present: only partitions whose
@@ -100,34 +100,25 @@ def read_pyramid(out_dir: str, z_levels=None):
     (i.e. the current build) are read — an interrupted rebuild after an
     input change can never mix old- and new-lineage levels. Directories
     without a manifest are read as-is (plain parquet layout)."""
-    import json
-
     import ray.data as rd
 
-    manifest_path = os.path.join(out_dir, "_manifest.jsonl")
     allowed = None
-    if os.path.exists(manifest_path):
-        latest, current = {}, None
-        with open(manifest_path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    latest[rec["partition"]] = rec
-                    current = rec.get("lineage")  # lineage of the newest record
+    if os.path.exists(os.path.join(out_dir, "_manifest.jsonl")):
+        manifest = Manifest(out_dir, "")
+        latest = manifest.latest()
         if latest:
-            allowed = {p for p, r in latest.items() if r.get("lineage") == current}
+            *_, newest = manifest.records()
+            allowed = {p for p, r in latest.items()
+                       if r.get("lineage") == newest.get("lineage")}
 
     files = []
     for name in sorted(os.listdir(out_dir)):
         if name.startswith("z=") and "tmp" not in name and not name.endswith(".jsonl"):
             if allowed is not None and name not in allowed:
                 continue
-            z = int(name.split("=")[1])
-            if z_levels is None or z in z_levels:
-                d = os.path.join(out_dir, name)
-                # read_parquet accepts one dir or a list of FILES — expand
-                files += [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+            d = os.path.join(out_dir, name)
+            # read_parquet accepts one dir or a list of FILES — expand
+            files += [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
     return rd.read_parquet(files)
 
 
@@ -213,7 +204,7 @@ def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
     merge would silently drop corpus data). pytest asserts
     bit-equality with a full rebuild of base+delta.
     """
-    base_all = Manifest(base_dir, "")._all_records()
+    base_all = Manifest(base_dir, "").latest()
     want = {f"z={z}" for z in range(z_min, z_base + 1)}
     if set(base_all) != want:
         raise ValueError(

@@ -456,11 +456,12 @@ def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: in
 
 
 def shard_specs(sf_dir: str, replicate: int, shards_per_task: int = 64, columns=None):
-    """Picklable input specs for fused map-side stages (one per task).
+    """Picklable input specs, one per read task (``load_shard_spec``).
 
-    The spec-fed exchange (stages/exchange.hash_exchange with map_fn)
-    takes the read as a pure function of a spec instead of a Dataset —
-    mirroring per-fragment reads of a many-fragment Lance/parquet table.
+    Describes the read as a pure function of a spec — mirroring
+    per-fragment reads of a many-fragment Lance/parquet table; the
+    benchmark pyramid (stages/pyramid.aggregate_pyramid_spatial_fused)
+    turns the specs into a docs Dataset with one read task each.
     """
     path = f"{sf_dir}/documents.parquet"
     out = []

@@ -8,12 +8,10 @@ Dataset API (SURVEY.md §7.0: raw tasks as a last resort), and it keeps
 the Dataset contract at the output: a Dataset via ``from_arrow_refs``
 — blocks never touch the driver.
 
-One entry point, ``hash_exchange``, with two split sources picked
-from its input: a Dataset's blocks streamed into split tasks, or a
-list of picklable input specs mapped and split in one fused task
-(map-side shuffle write). Everything after the split — the reduce
-wave, the optional per-partition ``aux_fn`` side output and empty-
-input handling — is shared.
+One entry point, ``hash_exchange``, with one split source: a
+Dataset's blocks, streamed into split tasks as the upstream pipeline
+produces them. A reduce wave then merges each partition, optionally
+with a tiny per-partition ``aux_fn`` side output.
 
 Partitioning assumption: `key_col` is int64; routing is by
 multiplicative hash so consecutive tile keys spread uniformly. Each
@@ -28,13 +26,6 @@ import numpy as np
 import pyarrow as pa
 
 _HASH_MULT = 0x9E3779B97F4A7C15
-# driver-side intermediate-ref budget for the spec-fed exchange
-# (len(inputs-after-grouping) x num_partitions <= REF_BUDGET).
-# Measured at 400M docs / 64 partitions: raising this to 32768 (417
-# tasks, ~27k refs, 417-arg reduce calls) is 2.2x SLOWER than 16384
-# (250 tasks, 16k refs) — driver/GCS bookkeeping grows superlinearly
-# past ~16k refs, exactly as the round-1 exchange notes warned.
-REF_BUDGET = 16384
 
 
 def _bucket_of(keys: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -78,9 +69,9 @@ def _empty_combined(ds, combine_block_fn):
     return rd.from_arrow(combine_block_fn(empty))
 
 
-def hash_exchange(source, key_col: str, combine_block_fn, num_partitions: int = 64,
-                  *, map_fn=None, aux_fn=None):
-    """Hash-partition ``source`` on ``key_col``; one combined block per partition.
+def hash_exchange(ds, key_col: str, combine_block_fn, num_partitions: int = 64,
+                  *, aux_fn=None):
+    """Hash-partition Dataset ``ds`` on ``key_col``; one combined block per partition.
 
     combine_block_fn: pa.Table -> pa.Table, applied once per partition
     after concatenating that partition's slices from every split (it
@@ -89,20 +80,11 @@ def hash_exchange(source, key_col: str, combine_block_fn, num_partitions: int = 
     precompute a routing column and pass that as key_col (the combine
     fn sees the full rows either way).
 
-    The split source follows the input:
-
-    - ``map_fn`` None: ``source`` is a Dataset. Split tasks launch as
-      its blocks STREAM out of the upstream pipeline
-      (``iter_internal_ref_bundles``), overlapping the exchange with
-      upstream compute; block groups grow geometrically so the driver
-      tracks a bounded number of intermediate objects (~64 split tasks
-      x num_partitions) however many blocks stream past.
-    - ``map_fn`` given: ``source`` is a list of picklable input specs
-      (shard descriptors, fragment lists) and ``map_fn(spec) ->
-      pa.Table`` runs FUSED with its bucket split in one task — the
-      map-side shuffle write of Spark/MR: mapper output never
-      round-trips through the object store unsplit. Specs are chunked
-      so tasks x num_partitions stays <= REF_BUDGET.
+    Split tasks launch as ``ds``'s blocks STREAM out of the upstream
+    pipeline (``iter_internal_ref_bundles``), overlapping the exchange
+    with upstream compute; block groups grow geometrically so the
+    driver tracks a bounded number of intermediate objects (~64 split
+    tasks x num_partitions) however many blocks stream past.
 
     ``aux_fn``: each reduce also returns ``aux_fn(combined_table)`` as
     a SECOND object, kept tiny by construction (e.g. one level's rows)
@@ -114,13 +96,9 @@ def hash_exchange(source, key_col: str, combine_block_fn, num_partitions: int = 
     import ray.data as rd
 
     assert num_partitions >= 2, "use a plain map for a single partition"
-    if map_fn is None:
-        split_lists = _stream_splits(source, key_col, num_partitions)
-    else:
-        split_lists = _map_splits(source, map_fn, key_col, num_partitions)
+    split_lists = _stream_splits(ds, key_col, num_partitions)
     if not split_lists:
-        out = (_empty_combined(source, combine_block_fn) if map_fn is None
-               else rd.from_arrow(pa.table({})))
+        out = _empty_combined(ds, combine_block_fn)
         return out if aux_fn is None else (out, [])
     if aux_fn is None:
         reduce_task, fns = ray.remote(_reduce_partition), (combine_block_fn,)
@@ -157,39 +135,6 @@ def _stream_splits(ds, key_col: str, num_partitions: int):
     if pending:
         split_lists.append(split_task.remote(key_col, num_partitions, *pending))
     return split_lists
-
-
-def _map_split(map_fn, key_col, num_partitions, inp):
-    return _split_block(key_col, num_partitions, map_fn(inp))
-
-
-def _map_splits(inputs, map_fn, key_col: str, num_partitions: int):
-    """Launch one fused map+split task per input spec (or chunk of
-    specs); returns the per-task lists of num_partitions output refs."""
-    import ray
-
-    if hasattr(inputs, "iter_internal_ref_bundles") or hasattr(
-            inputs, "map_batches"):
-        raise TypeError(
-            "hash_exchange(..., map_fn=...) takes a list of picklable input "
-            "SPECS (shard descriptors / fragment lists), not a Dataset — a "
-            "Dataset would fail deep inside Ray when pickled into the map "
-            "task. Call hash_exchange(ds, ...) without map_fn for a Dataset.")
-    # chunk inputs if the ref product would swamp the driver
-    max_tasks = max(2, REF_BUDGET // num_partitions)
-    if len(inputs) > max_tasks:
-        group = (len(inputs) + max_tasks - 1) // max_tasks
-        grouped = [inputs[i : i + group] for i in range(0, len(inputs), group)]
-
-        def map_many(grp, _fn=map_fn):
-            import pyarrow as _pa
-
-            return _pa.concat_tables([_fn(g) for g in grp], promote_options="default")
-
-        inputs, map_fn = grouped, map_many
-
-    map_task = ray.remote(num_returns=num_partitions)(_map_split)
-    return [map_task.remote(map_fn, key_col, num_partitions, inp) for inp in inputs]
 
 
 def _reduce_partition_aux(combine_block_fn, aux_fn, *parts):

@@ -177,13 +177,6 @@ def _routed_partials(batch: pa.Table, z_base: int, shift: int) -> pa.Table:
     return t.append_column("route", pa.array(anc, type=pa.int64()))
 
 
-def _fused_doc_partials(spec, load_fn, z_base: int, shift: int) -> pa.Table:
-    """One fused map task: load spec -> assign tiles -> routed partials."""
-    from .assign import AssignTiles
-
-    return _routed_partials(AssignTiles(z_base)(load_fn(spec)), z_base, shift)
-
-
 def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level: int = 6,
                               num_buckets: int = 64):
     """Full pyramid z_base..z_min from a Dataset of docs carrying z/x/y
@@ -202,28 +195,6 @@ def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level:
     partition at (docs in cell / blocks) partial rows — the per-block
     combiner still caps shuffle volume.
     """
-    return _spatial_pyramid(docs_ds, None, z_base, z_min, split_level, num_buckets)
-
-
-def aggregate_pyramid_spatial_fused(specs, load_fn, z_base: int, z_min: int = 0,
-                                    split_level: int = 6, num_buckets: int = 64):
-    """aggregate_pyramid_spatial with MAP-SIDE shuffle writes.
-
-    Same semantics and routing, but the load -> assign -> partial ->
-    bucket-split chain runs fused in one task per input spec
-    (``hash_exchange(..., map_fn=...)``), so mapper output never
-    round-trips through the object store unsplit — ~17% faster and
-    better-scaling than the Dataset-fed exchange. Use when the source
-    is expressible as picklable shard specs (sources/docs.shard_specs,
-    or Lance/parquet fragment lists); ``load_fn(spec)`` returns docs
-    with lon/lat. Equality with the Dataset path is pytest-verified.
-    """
-    return _spatial_pyramid(specs, load_fn, z_base, z_min, split_level, num_buckets)
-
-
-def _spatial_pyramid(source, load_fn, z_base, z_min, split_level, num_buckets):
-    """Shared body: a Dataset of z/x/y docs when ``load_fn`` is None,
-    else a list of specs for the fused map-side exchange."""
     import functools
 
     import ray
@@ -232,27 +203,20 @@ def _spatial_pyramid(source, load_fn, z_base, z_min, split_level, num_buckets):
     from .exchange import hash_exchange
 
     split_level = min(split_level, z_base)
-    shift = z_base - split_level
-    if load_fn is None:
-        source = source.map_batches(
-            functools.partial(_routed_partials, z_base=z_base, shift=shift),
-            batch_format="pyarrow",
-        )
-        map_fn = None
-    else:
-        map_fn = functools.partial(
-            _fused_doc_partials, load_fn=load_fn, z_base=z_base, shift=shift
-        )
+    partials = docs_ds.map_batches(
+        functools.partial(_routed_partials, z_base=z_base, shift=z_base - split_level),
+        batch_format="pyarrow",
+    )
     comb = functools.partial(_subtree_combine, z_base=z_base, z_low=max(z_min, split_level))
     if z_min >= split_level:
-        return hash_exchange(source, "route", comb, num_buckets, map_fn=map_fn)
+        return hash_exchange(partials, "route", comb, num_buckets)
 
     # each reduce also emits its split-level rows as a tiny aux output
     # (<= 4^split_level rows in total across partitions), so the
     # z<split tail derives on the driver from a few KB — no extra task
     # wave, no full-partition fetch.
     upper, aux_refs = hash_exchange(
-        source, "route", comb, num_buckets, map_fn=map_fn,
+        partials, "route", comb, num_buckets,
         aux_fn=functools.partial(_take_level, level=split_level),
     )
     aux_tables = [t for t in ray.get(aux_refs) if t.num_rows]
@@ -261,6 +225,33 @@ def _spatial_pyramid(source, load_fn, z_base, z_min, split_level, num_buckets):
     split_rows = pa.concat_tables(aux_tables, promote_options="default")
     tail = partial_levels_from_tiles(split_rows, split_level - 1, z_min)
     return upper.union(rd.from_arrow(tail))
+
+
+def aggregate_pyramid_spatial_fused(specs, load_fn, z_base: int, z_min: int = 0,
+                                    split_level: int = 6, num_buckets: int = 64):
+    """aggregate_pyramid_spatial over picklable input specs
+    (sources/docs.shard_specs, or Lance/parquet fragment lists);
+    ``load_fn(spec)`` returns docs with lon/lat.
+
+    The specs become a docs Dataset with one read task per spec — the
+    shape of read_docs' replica shards — then AssignTiles(z_base) and
+    the Dataset-fed exchange. Why not split inside each spec's read
+    task (a map-side shuffle write): on the one-core ``pyramid``
+    benchmark that was no faster and held ~1.8x the driver's peak RSS,
+    because its specs x partitions split slices are each small enough
+    that Ray returns them inline to their owner, the driver.
+    """
+    import ray.data as rd
+
+    from .assign import assign_tiles
+
+    def load(batch: pa.Table, _specs=specs) -> pa.Table:
+        return pa.concat_tables([load_fn(_specs[i]) for i in batch["id"].to_pylist()])
+
+    docs = rd.range(len(specs), override_num_blocks=len(specs)).map_batches(
+        load, batch_format="pyarrow")
+    return aggregate_pyramid_spatial(assign_tiles(docs, z_base), z_base, z_min,
+                                     split_level, num_buckets)
 
 
 # ---- tile payload materialization --------------------------------------

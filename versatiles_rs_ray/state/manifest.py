@@ -40,31 +40,24 @@ class Manifest:
         self.path = os.path.join(out_dir, "_manifest.jsonl")
         os.makedirs(out_dir, exist_ok=True)
 
+    def records(self):
+        """Every record in file order, oldest first."""
+        if not os.path.exists(self.path):
+            return
+        with open(self.path) as f:
+            for line in f:
+                line = line.strip()
+                if line:
+                    yield json.loads(line)
+
+    def latest(self) -> dict:
+        """partition -> LATEST record, regardless of lineage."""
+        return {r["partition"]: r for r in self.records()}
+
     def load(self) -> dict:
         """partition -> record, for records matching the current lineage."""
-        done = {}
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    if rec.get("lineage") == self.lineage:
-                        done[rec["partition"]] = rec
-        return done
-
-    def _all_records(self) -> dict:
-        """partition -> LATEST record, regardless of lineage."""
-        recs = {}
-        if os.path.exists(self.path):
-            with open(self.path) as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        rec = json.loads(line)
-                        recs[rec["partition"]] = rec
-        return recs
+        return {r["partition"]: r for r in self.records()
+                if r.get("lineage") == self.lineage}
 
     def invalidate_stale(self) -> list:
         """Delete partition dirs whose latest record carries a DIFFERENT
@@ -72,7 +65,7 @@ class Manifest:
         only current-lineage records — otherwise an interrupted rebuild
         would silently mix old- and new-lineage partitions in reads.
         Returns the removed partition ids."""
-        recs = self._all_records()
+        recs = self.latest()
         stale = [p for p, r in recs.items() if r.get("lineage") != self.lineage]
         if not stale:
             return []
