@@ -252,6 +252,35 @@ def test_cli_corpus_ops(tmp_path):
     assert "seq_id" in t.schema.names and "shuffle_rank" in t.schema.names
 
 
+def test_cli_corpus_dedup_near_uses_col(tmp_path):
+    """corpus dedup --mode near runs curate_corpus' near-dup stage: it
+    dedups the --col column, refuses an input whose own ``text`` column
+    would shadow it, and writes back exactly the input's columns."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    # two near-dup families of 6 docs in ``body``; ``text`` is one
+    # string shared by all 12 docs
+    body = [" ".join(f"{fam}{w}" for w in range(40)) + f" doc{i}"
+            for i, fam in enumerate(["alpha"] * 6 + ["omega"] * 6)]
+    ids = pa.array(range(12), type=pa.int64())
+    src = str(tmp_path / "with_text.parquet")
+    pq.write_table(pa.table({"doc_id": ids, "text": ["same"] * 12, "body": body}), src)
+    r = subprocess.run(
+        [sys.executable, "-m", "versatiles_rs_ray", "--num-cpus", "4", "corpus", "dedup",
+         src, str(tmp_path / "o1"), "--mode", "near", "--col", "body"],
+        capture_output=True, text=True, cwd="/root/repo", timeout=240)
+    assert r.returncode != 0 and "reserves column 'text'" in r.stderr
+
+    src = str(tmp_path / "body_only.parquet")
+    pq.write_table(pa.table({"doc_id": ids, "body": body}), src)
+    doc = _run(["corpus", "dedup", src, str(tmp_path / "o2"), "--mode", "near", "--col", "body"])
+    t = pq.read_table(str(tmp_path / "o2"))
+    assert doc["rows"] == t.num_rows == 2
+    assert t.schema.names == ["doc_id", "body"]
+    assert sorted(t["doc_id"].to_pylist()) == [0, 6]
+
+
 def test_cli_help_single_op_params():
     """help pipeline <op>: full docstring + parameter table derived
     from the live op signature (the #[derive(VPLDecode)] analog)."""

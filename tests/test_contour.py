@@ -109,7 +109,7 @@ def test_from_contours_vpl_end_to_end(ray_session, tmp_path):
     elevation properties; decoded ring approximates the cone circle."""
     from versatiles_rs_ray.core import mvt
     from versatiles_rs_ray.pipelines.vpl import build_pipeline
-    from versatiles_rs_ray.sources.geotiff import write_tiff
+    from oracles import write_tiff
 
     yy, xx = np.mgrid[0:41, 0:41]
     z = 25.0 - 0.8 * np.hypot(xx - 20, yy - 20)
@@ -232,7 +232,7 @@ def test_vector_simplify_stage_roundtrip(ray_session):
 
 
 def test_from_contours_simplify_param(ray_session, tmp_path):
-    from versatiles_rs_ray.sources.geotiff import write_tiff
+    from oracles import write_tiff
     from versatiles_rs_ray.sources.geotiff import read_raster_source
     from versatiles_rs_ray.stages.contour import contour_lines
 

@@ -6,6 +6,8 @@ import pytest
 
 from versatiles_rs_ray.core import bbox, cells, coords
 
+from oracles import geohash_decode, s2_level
+
 
 def test_tile_to_lonlat_golden():
     # tile_coord.rs:241-249
@@ -156,7 +158,7 @@ def test_s2_levels_and_parent_containment():
     leaf = cells.s2_cell_id(lon, lat, 30)
     for lvl in (0, 5, 12, 29):
         p = cells.s2_parent(leaf, lvl)
-        assert (cells.s2_level(p) == lvl).all()
+        assert (s2_level(p) == lvl).all()
         # snapping the leaf to lvl directly agrees with parent-of-leaf
         direct = cells.s2_cell_id(lon, lat, lvl)
         assert (p == direct).all()
@@ -220,7 +222,7 @@ def test_geohash_published_goldens():
 
 
 def test_geohash_decode_roundtrip():
-    from versatiles_rs_ray.core.cells import geohash_decode, geohash_encode
+    from versatiles_rs_ray.core.cells import geohash_encode
 
     rng = np.random.default_rng(7)
     lon = rng.uniform(-180, 180, 200)
@@ -249,7 +251,7 @@ def test_geohash_edges_and_validation():
 
 def test_geohash_neighbors_share_prefix():
     """Nearby points in the same cell interior share the full hash."""
-    from versatiles_rs_ray.core.cells import geohash_decode, geohash_encode
+    from versatiles_rs_ray.core.cells import geohash_encode
 
     base = geohash_encode([13.4050], [52.5200], 7)[0]  # Berlin
     dlon, dlat, elon, elat = geohash_decode([base])

@@ -8,6 +8,8 @@ import pyarrow as pa
 
 from versatiles_rs_ray.stages import dedup
 
+from oracles import dup_groups_driver, jaccard_verify, shingle_hashes
+
 
 def _planted_ds(ray_session):
     """60 docs: 3 exact-dup groups, 2 near-dup pairs, rest unique."""
@@ -52,17 +54,9 @@ def test_dedup_exact(ray_session):
 
 def test_minhash_finds_planted_dups(ray_session):
     ds, texts, ids = _planted_ds(ray_session)
-    import ray
-
-    texts_map = dict(zip(ids, texts))
     cand = dedup.minhash_candidates(ds, k=5, num_perm=64, bands=16)
-    ref = ray.put(texts_map)
-    verified = cand.map_batches(
-        dedup.JaccardVerify,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"texts_ref": ref, "threshold": 0.5},
-        concurrency=1,
-    ).to_pandas()
+    verified = jaccard_verify(pa.Table.from_pandas(cand.to_pandas(), preserve_index=False),
+                              dict(zip(ids, texts)), threshold=0.5).to_pandas()
     pairs = set(map(tuple, verified[["doc_a", "doc_b"]].values))
     assert {(0, 50), (1, 51), (2, 52)} <= pairs  # exact dups always survive
     assert {(3, 53), (4, 54)} <= pairs  # near dups (1 word / 30 changed)
@@ -72,18 +66,12 @@ def test_minhash_finds_planted_dups(ray_session):
 
 def test_jaccard_verify_exchange_equals_broadcast(ray_session):
     """The co-partitioned verify (no corpus broadcast) must produce the
-    SAME (pair, jaccard) set as the JaccardVerify broadcast fast path."""
-    import ray
-
+    SAME (pair, jaccard) set as a verify against the whole corpus as
+    one driver-side dict."""
     ds, texts, ids = _planted_ds(ray_session)
     cand = dedup.minhash_candidates(ds, k=5, num_perm=64, bands=16)
-    ref = ray.put(dict(zip(ids, texts)))
-    broadcast = cand.map_batches(
-        dedup.JaccardVerify,
-        batch_format="pyarrow",
-        fn_constructor_kwargs={"texts_ref": ref, "threshold": 0.5},
-        concurrency=1,
-    ).to_pandas()
+    broadcast = jaccard_verify(pa.Table.from_pandas(cand.to_pandas(), preserve_index=False),
+                               dict(zip(ids, texts)), threshold=0.5).to_pandas()
     cand2 = dedup.minhash_candidates(ds, k=5, num_perm=64, bands=16)
     exchanged = dedup.jaccard_verify_exchange(
         cand2, ds, threshold=0.5, num_partitions=4
@@ -176,7 +164,7 @@ def test_propagate_labels_exchange_matches_driver_unionfind(ray_session):
              (20, 21), (20, 22), (21, 22),          # clique -> 20
              (30, 31)]
     df = pd.DataFrame({"doc_a": [a for a, _ in pairs], "doc_b": [b for _, b in pairs]})
-    want = dedup.dup_groups_driver(df).sort_values("doc_num").reset_index(drop=True)
+    want = dup_groups_driver(df).sort_values("doc_num").reset_index(drop=True)
 
     ds = rd.from_pandas(df)
     got = (
@@ -240,14 +228,14 @@ def test_vectorized_kernels_match_perdoc_reference():
 
     flat, starts, counts = dedup._shingle_hashes_flat(col, 5)
     for i, t in enumerate(texts):
-        ref = dedup._shingle_hashes(t, 5)
+        ref = shingle_hashes(t, 5)
         got = flat[starts[i] : starts[i] + counts[i]]
         assert np.array_equal(np.sort(ref), np.sort(got)), i
 
     ms = dedup.MinHashSignatures(k=5, num_perm=64, bands=8)
     sigs = ms.signatures(col)
     for i, t in enumerate(texts):
-        sh = dedup._shingle_hashes(t, 5) & dedup._MERSENNE
+        sh = shingle_hashes(t, 5) & dedup._MERSENNE
         with np.errstate(over="ignore"):
             vals = ms.a[:, None] * sh[None, :] + ms.b[:, None]
         assert np.array_equal(sigs[i], vals.min(axis=1)), i

@@ -10,6 +10,8 @@ from versatiles_rs_ray.core import mvt
 from versatiles_rs_ray.sources import geojson as GJ
 from versatiles_rs_ray.stages import dedup
 
+from oracles import dup_groups_driver
+
 
 def test_csv_side_loader(tmp_path):
     # analogue of testdata/cities.csv (FIXTURES.md F4)
@@ -32,9 +34,9 @@ def test_ndjson_features_roundtrip(ray_session, tmp_path):
     df = ds.to_pandas().sort_values("feature_id").reset_index(drop=True)
     assert len(df) == 5
     assert df["lon"].tolist() == [0.0, 10.0, 20.0, 30.0, 40.0]
-    out = GJ.features_to_geojson(df.to_dict("records"))
-    doc = json.loads(out)
-    assert doc["type"] == "FeatureCollection" and len(doc["features"]) == 5
+    assert df["feature_id"].tolist() == [f["id"] for f in feats]
+    assert [json.loads(g) for g in df["geometry"]] == [f["geometry"] for f in feats]
+    assert [json.loads(p) for p in df["properties"]] == [f["properties"] for f in feats]
 
 
 def test_features_to_mvt(ray_session, tmp_path):
@@ -56,7 +58,7 @@ def test_features_to_mvt(ray_session, tmp_path):
 
 def test_dup_groups_driver():
     pairs = pd.DataFrame({"doc_a": [1, 2, 10, 11], "doc_b": [2, 3, 11, 12]})
-    got = dedup.dup_groups_driver(pairs).sort_values("doc_num")
+    got = dup_groups_driver(pairs).sort_values("doc_num")
     assert got["group_id"].tolist() == [1, 1, 1, 10, 10, 10]
 
 
@@ -75,7 +77,7 @@ def test_propagate_min_labels_matches_union_find(ray_session):
     ds = rd.from_arrow(t)
     dist = (dedup.propagate_min_labels_exchange(ds).to_pandas()
             .sort_values("doc_num").reset_index(drop=True))
-    brute = dedup.dup_groups_driver(
+    brute = dup_groups_driver(
         pd.DataFrame({"doc_a": [p[0] for p in pairs], "doc_b": [p[1] for p in pairs]})
     ).sort_values("doc_num").reset_index(drop=True)
     assert dist.astype("int64").equals(brute.astype("int64"))

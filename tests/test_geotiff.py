@@ -6,8 +6,10 @@ operation.rs:301-345: 7x7 pixel rows/cols at z0/z1 with max diff 1,
 import numpy as np
 import pytest
 
-from versatiles_rs_ray.sources.geotiff import GeoTIFF, read_geotiff, write_tiff
+from versatiles_rs_ray.sources.geotiff import GeoTIFF, read_geotiff
 from versatiles_rs_ray.stages.reproject import SRSReprojector
+
+from oracles import lzw_encode, packbits_encode, write_tiff
 
 FIXTURE = "/root/reference/testdata/gradient.tif"
 
@@ -135,8 +137,8 @@ def test_pixel_is_point_half_pixel_shift():
     import versatiles_rs_ray.sources.geotiff as G
 
     arr = np.zeros((4, 4, 1), np.uint8)
-    blob = bytearray(G.write_tiff(arr, geotransform=(10.0, 1.0, 0.0, 20.0, 0.0, -1.0),
-                                  epsg=4326))
+    blob = bytearray(write_tiff(arr, geotransform=(10.0, 1.0, 0.0, 20.0, 0.0, -1.0),
+                                epsg=4326))
     # patch RasterType key (1025) value from 1 (area) to 2 (point)
     b = bytes(blob)
     i = b.find(struct.pack("<HHHH", 1025, 0, 1, 1))
@@ -153,9 +155,9 @@ def test_unsupported_photometric_and_rotation():
     import versatiles_rs_ray.sources.geotiff as G
 
     with pytest.raises(NotImplementedError, match="rotated"):
-        G.write_tiff(np.zeros((4, 4, 3), np.uint8),
-                     geotransform=(0, 1, 0.5, 0, 0.2, -1))
-    blob = bytearray(G.write_tiff(np.zeros((4, 4, 1), np.uint8)))
+        write_tiff(np.zeros((4, 4, 3), np.uint8),
+                   geotransform=(0, 1, 0.5, 0, 0.2, -1))
+    blob = bytearray(write_tiff(np.zeros((4, 4, 1), np.uint8)))
     b = bytes(blob)
     i = b.find(struct.pack("<HHIHH", 262, 3, 1, 1, 0))  # photometric=1
     assert i > 0
@@ -247,7 +249,7 @@ def test_packbits_spec_golden():
         "AAAAAA 80002A AAAAAAAA 80002A22 AAAAAAAAAAAAAAAAAAAA".replace(" ", ""))
     assert G._packbits_decode(packed) == unpacked
     # round-trip through our own encoder too (packing may differ)
-    assert G._packbits_decode(G._packbits_encode(unpacked)) == unpacked
+    assert G._packbits_decode(packbits_encode(unpacked)) == unpacked
 
 
 def test_lzw_hand_computed_golden():
@@ -259,7 +261,7 @@ def test_lzw_hand_computed_golden():
 
     golden = bytes([0x80, 0x01, 0xE0, 0x40, 0x88, 0x08])
     assert G._lzw_decode(golden) == b"\x07\x07\x07\x08"
-    assert G._lzw_encode(b"\x07\x07\x07\x08") == golden
+    assert lzw_encode(b"\x07\x07\x07\x08") == golden
 
 
 def test_lzw_width_transitions_roundtrip():
@@ -269,9 +271,9 @@ def test_lzw_width_transitions_roundtrip():
 
     rng = np.random.default_rng(7)
     data = rng.integers(0, 256, size=60_000, dtype=np.uint8).tobytes()
-    assert G._lzw_decode(G._lzw_encode(data)) == data
+    assert G._lzw_decode(lzw_encode(data)) == data
     runs = bytes(np.repeat(np.arange(256, dtype=np.uint8), 97))
-    assert G._lzw_decode(G._lzw_encode(runs)) == runs
+    assert G._lzw_decode(lzw_encode(runs)) == runs
 
 
 def test_tiff_lzw_packbits_roundtrip():
@@ -294,7 +296,7 @@ def test_palette_and_min_is_white():
     cmap[0] = np.arange(256) * 257          # red ramp, exact 8-bit mapping
     cmap[1] = (255 - np.arange(256)) * 257  # green inverse ramp
     cmap[2, 7] = 65535                      # blue spike at index 7
-    b = G.write_tiff(idx, colormap=cmap, compression=5)
+    b = write_tiff(idx, colormap=cmap, compression=5)
     g = G.read_geotiff(b)
     assert g.array.shape == (16, 16, 3) and g.array.dtype == np.uint8
     assert np.array_equal(g.array[..., 0], idx)
@@ -302,11 +304,11 @@ def test_palette_and_min_is_white():
     assert np.array_equal(g.array[..., 2], np.where(idx == 7, 255, 0))
 
     grey = (np.arange(8 * 8, dtype=np.int64).reshape(8, 8) % 256).astype(np.uint8)
-    b = G.write_tiff(grey, photometric=0, compression=32773)
+    b = write_tiff(grey, photometric=0, compression=32773)
     g = G.read_geotiff(b)
     assert np.array_equal(g.array[..., 0], 255 - grey)
     g16 = (np.arange(8 * 8, dtype=np.int64).reshape(8, 8) * 900 % 65536).astype(np.uint16)
-    b = G.write_tiff(g16, photometric=0)
+    b = write_tiff(g16, photometric=0)
     g = G.read_geotiff(b)
     assert np.array_equal(g.array[..., 0], 65535 - g16)
 

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from versatiles_rs_ray.sources.geotiff import read_raster_source
-from versatiles_rs_ray.sources.grids import (
-    read_aaigrid,
-    read_hgt,
-    write_aaigrid,
-)
+from versatiles_rs_ray.sources.grids import read_aaigrid, read_hgt
+
+from oracles import write_aaigrid
 
 
 def test_aaigrid_hand_written_fixture(tmp_path):

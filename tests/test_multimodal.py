@@ -189,7 +189,7 @@ def test_media_bytes_decoder_tiff_payload(ray_session, tmp_path):
     parser into the same rgba-raw interchange as PNG/JPEG/WEBP."""
     import numpy as np
 
-    from versatiles_rs_ray.sources.geotiff import write_tiff
+    from oracles import write_tiff
     from versatiles_rs_ray.sources.media import read_media_dir
     from versatiles_rs_ray.stages.multimodal import decode_media_bytes
 

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from versatiles_rs_ray.sources.geotiff import read_raster_source
-from versatiles_rs_ray.sources.netcdf import read_netcdf, write_netcdf
+from versatiles_rs_ray.sources.netcdf import read_netcdf
+
+from oracles import write_netcdf
 
 WKT_3857 = (
     'PROJCS["WGS 84 / Pseudo-Mercator",GEOGCS["WGS 84",'

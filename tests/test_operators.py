@@ -549,7 +549,7 @@ def test_distinct_by_key_and_hll(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
-    from versatiles_rs_ray.stages.curate import approx_distinct, distinct_by_key
+    from versatiles_rs_ray.stages.curate import approx_distinct_by_key, distinct_by_key
 
     rng = np.random.default_rng(9)
     keys = rng.choice(["a", "b"], size=4000).tolist()
@@ -565,12 +565,13 @@ def test_distinct_by_key_and_hll(ray_session):
 
     # HLL within 5% of the exact distinct count at p=12 (sigma ~1.6%)
     n_true = 20_000
-    big = pa.table({"v": pa.array([f"item-{i}" for i in range(n_true)])})
-    est = approx_distinct(rd.from_arrow(big).repartition(6), "v", p=12)
-    assert abs(est - n_true) / n_true < 0.05, est
+    big = pa.table({"k": ["all"] * n_true,
+                    "v": pa.array([f"item-{i}" for i in range(n_true)])})
+    est = approx_distinct_by_key(rd.from_arrow(big).repartition(6), "k", "v", p=12)
+    assert set(est) == {"all"} and abs(est["all"] - n_true) / n_true < 0.05, est
     # small-range linear counting: tiny cardinality stays near-exact
-    small = pa.table({"v": pa.array([f"s{i}" for i in range(37)] * 3)})
-    est2 = approx_distinct(rd.from_arrow(small), "v", p=12)
+    small = pa.table({"k": ["all"] * 111, "v": pa.array([f"s{i}" for i in range(37)] * 3)})
+    est2 = approx_distinct_by_key(rd.from_arrow(small), "k", "v", p=12)["all"]
     assert abs(est2 - 37) < 2, est2
 
 

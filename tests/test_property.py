@@ -187,7 +187,8 @@ def test_knn_partial_matches_bruteforce(data):
 def test_geotiff_roundtrip_fuzz(data):
     """write_tiff -> read_geotiff is identity for any 8-bit array shape,
     channel count, layout, and codec combination."""
-    from versatiles_rs_ray.sources.geotiff import read_geotiff, write_tiff
+    from oracles import write_tiff
+    from versatiles_rs_ray.sources.geotiff import read_geotiff
 
     h = data.draw(st.integers(min_value=1, max_value=90))
     w = data.draw(st.integers(min_value=1, max_value=90))

@@ -69,7 +69,8 @@ def test_limited_cache_bounds_and_lru():
 def test_pmtiles_leaf_cache_bounded(ray_session, tmp_path):
     """Serving path must not grow caches with the archive: force a tiny
     budget and confirm reads stay correct while the cache stays bounded."""
-    from versatiles_rs_ray.core.cache import LimitedCache, sizeof_entries
+    from versatiles_rs_ray.core.cache import LimitedCache
+    from versatiles_rs_ray.sources.random_access import _sizeof_dir
     from versatiles_rs_ray.sources.pmtiles import write_pmtiles
 
     p = str(tmp_path / "c.pmtiles")
@@ -80,7 +81,7 @@ def test_pmtiles_leaf_cache_bounded(ray_session, tmp_path):
     finally:
         pmtiles.MAX_DIR_ENTRIES = old
     r = PMTilesRandomAccess(p)
-    r._leaf_cache = LimitedCache(max_bytes=1, size_of=sizeof_entries)
+    r._leaf_cache = LimitedCache(max_bytes=1, size_of=_sizeof_dir)
     import json
 
     for z, x, y in [(0, 0, 0), (3, 2, 5), (3, 7, 7), (0, 0, 0)]:

@@ -216,7 +216,7 @@ def test_raster_vector_raster_loop(ray_session, tmp_path):
     import numpy as np
 
     from versatiles_rs_ray.pipelines.vpl import build_pipeline
-    from versatiles_rs_ray.sources.geotiff import write_tiff
+    from oracles import write_tiff
 
     yy, xx = np.mgrid[0:41, 0:41]
     z = 25.0 - 0.8 * np.hypot(xx - 20, yy - 20)

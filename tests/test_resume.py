@@ -222,20 +222,21 @@ def test_stale_lineage_partitions_invalidated(ray_session, sf_dir, tmp_path):
 
 
 def test_increment_pyramid_equals_full_rebuild(ray_session, tmp_path):
-    """increment(base, delta) must equal a full rebuild over the
-    concatenated corpus — the decomposable-aggregate guarantee."""
-    import pyarrow as pa
-
-    from versatiles_rs_ray.pipelines.pyramid import (
-        build_and_write_pyramid, increment_pyramid, read_pyramid)
+    """Merging a delta corpus's tiles into a written pyramid through one
+    tkey exchange equals a full rebuild over base + delta — the
+    decomposable-aggregate property (sum/min/max per tile) that makes a
+    pyramid mergeable without re-reading the base corpus."""
     from versatiles_rs_ray.sources.docs import load_shard_spec, shard_specs
+    from versatiles_rs_ray.stages.assign import assign_tiles
+    from versatiles_rs_ray.stages.exchange import hash_exchange
+    from versatiles_rs_ray.stages.pyramid import (
+        aggregate_pyramid_spatial, combine_tile_stats_block)
     import ray.data as rd
 
     sf = "/root/testdata/sf0.001"
     zb = 5
     base_dir = str(tmp_path / "base")
     full_dir = str(tmp_path / "full")
-    inc_dir = str(tmp_path / "inc")
     # base corpus = replica 0; full corpus = replicas 0+1
     build_and_write_pyramid(sf, base_dir, z_base=zb, replicate=1)
     build_and_write_pyramid(sf, full_dir, z_base=zb, replicate=2)
@@ -243,33 +244,36 @@ def test_increment_pyramid_equals_full_rebuild(ray_session, tmp_path):
     spec = dict(shard_specs(sf, 2)[0])
     spec["replicas"] = [1]
     delta = rd.from_arrow(load_shard_spec(spec))
-    increment_pyramid(delta, base_dir, inc_dir, z_base=zb, delta_tag="r1")
 
     cols = ["tkey", "n_docs", "n_spans", "min_doc", "max_doc"]
-    a = read_pyramid(inc_dir).select_columns(cols).to_pandas().sort_values("tkey").reset_index(drop=True)
+    delta_tiles = aggregate_pyramid_spatial(assign_tiles(delta, zb), zb).select_columns(cols)
+    merged = hash_exchange(read_pyramid(base_dir).select_columns(cols).union(delta_tiles),
+                           "tkey", combine_tile_stats_block, num_partitions=8)
+    a = merged.to_pandas().sort_values("tkey").reset_index(drop=True)
     b = read_pyramid(full_dir).select_columns(cols).to_pandas().sort_values("tkey").reset_index(drop=True)
+    assert len(a) > len(read_pyramid(base_dir).to_pandas())  # the delta added tiles
     assert a.equals(b)
-    # resume: re-running the increment is a no-op (all levels committed)
-    rec2 = increment_pyramid(delta, base_dir, inc_dir, z_base=zb, delta_tag="r1")
-    assert set(rec2) == {f"z={z}" for z in range(zb + 1)}
 
 
 def test_increment_pyramid_guards(ray_session, tmp_path):
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
-
-    from versatiles_rs_ray.pipelines.pyramid import (
-        build_and_write_pyramid, increment_pyramid)
-
+    """The pipeline's z range: ``z_min > 0`` commits and reads back
+    exactly z_min..z_base, each level equal to the z_min=0 build's."""
     sf = "/root/testdata/sf0.001"
-    base_dir = str(tmp_path / "b")
-    build_and_write_pyramid(sf, base_dir, z_base=4, replicate=1)
-    delta = rd.from_arrow(pa.table({"doc_id": pa.array([], type=pa.int64())}))
-    # requested range must match the base's built levels
-    with pytest.raises(ValueError, match="do not match"):
-        increment_pyramid(delta, base_dir, str(tmp_path / "o"), z_base=7,
-                          delta_tag="x")
+    part_dir, full_dir = str(tmp_path / "part"), str(tmp_path / "full")
+    rec = build_and_write_pyramid(sf, part_dir, z_base=4, z_min=2)
+    build_and_write_pyramid(sf, full_dir, z_base=4)
+    assert set(rec) == {"z=2", "z=3", "z=4"}
+    assert sorted(d for d in os.listdir(part_dir) if d.startswith("z=")) == ["z=2", "z=3", "z=4"]
+
+    cols = ["z", "x", "y", "n_docs", "n_spans", "min_doc", "max_doc"]
+    part = read_pyramid(part_dir).select_columns(cols).to_pandas()
+    full = read_pyramid(full_dir).select_columns(cols).to_pandas()
+    assert sorted(part["z"].unique()) == [2, 3, 4]
+    for z in (2, 3, 4):
+        got = part[part["z"] == z].sort_values(["x", "y"]).reset_index(drop=True)
+        want = full[full["z"] == z].sort_values(["x", "y"]).reset_index(drop=True)
+        assert rec[f"z={z}"]["rows"] == len(got) > 0
+        assert got.equals(want)
 
 
 def test_cli_status(tmp_path):

@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from versatiles_rs_ray.core.bbox import TileBBoxPyramid
-from versatiles_rs_ray.server import TileServer, _accepts_gzip
+from versatiles_rs_ray.server import TileServer, _accept_encodings
 from versatiles_rs_ray.sources import pmtiles
 from versatiles_rs_ray.sources.debug_tiles import json_debug_tiles
 from versatiles_rs_ray.sources.random_access import (
@@ -80,11 +80,11 @@ def test_accepts_gzip_header_parse():
         def get(self, k, d=None):
             return super().get(k, d)
 
-    assert _accepts_gzip(H({"Accept-Encoding": "gzip, deflate"}))
-    assert _accepts_gzip(H({"Accept-Encoding": "br;q=1, *;q=0.5"}))
-    assert not _accepts_gzip(H({"Accept-Encoding": "gzip;q=0"}))
-    assert not _accepts_gzip(H({"Accept-Encoding": "identity"}))
-    assert not _accepts_gzip(H({}))
+    assert _accept_encodings(H({"Accept-Encoding": "gzip, deflate"})) == {"gzip"}
+    assert _accept_encodings(H({"Accept-Encoding": "br;q=1, *;q=0.5"})) == {"gzip", "br", "zstd"}
+    assert _accept_encodings(H({"Accept-Encoding": "gzip;q=0"})) == set()
+    assert _accept_encodings(H({"Accept-Encoding": "identity"})) == set()
+    assert _accept_encodings(H({})) == set()
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +417,7 @@ def test_server_mixed_format_mime_per_tile(tmp_path):
     from versatiles_rs_ray.core.png import encode_png
     import numpy as np
 
-    from versatiles_rs_ray.server import MemTileSource, TileServer
+    from oracles import MemTileSource
 
     png = encode_png(np.zeros((4, 4, 3), dtype=np.uint8))
     tiles = {(0, 0, 0): b'{"kind":"json"}', (1, 0, 0): png}

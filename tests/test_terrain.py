@@ -5,11 +5,11 @@ and the from_terrain VPL op end-to-end."""
 import numpy as np
 import pytest
 
-from versatiles_rs_ray.stages.terrain import (hillshade, mapbox_decode,
-                                              mapbox_encode, slope_degrees,
-                                              terrain_grid,
-                                              terrarium_decode,
+from versatiles_rs_ray.stages.terrain import (hillshade, mapbox_encode,
+                                              slope_degrees, terrain_grid,
                                               terrarium_encode)
+
+from oracles import mapbox_decode, terrarium_decode
 
 
 def _plane(h, w, gx, gy):
@@ -101,7 +101,7 @@ def test_terrain_grid_dispatch():
 
 def test_from_terrain_vpl(ray_session, tmp_path):
     from versatiles_rs_ray.pipelines.vpl import build_pipeline
-    from versatiles_rs_ray.sources.geotiff import write_tiff
+    from oracles import write_tiff
 
     r, c = np.mgrid[0:64, 0:64]
     dem = (100 + 20 * np.sin(r / 9.0) + 15 * np.cos(c / 7.0)).astype(np.int16)

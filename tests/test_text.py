@@ -61,7 +61,8 @@ def test_fingerprint_batch_matches_single_doc_kernel():
     import numpy as np
     import pyarrow as pa
 
-    from versatiles_rs_ray.stages.text import _doc_fingerprint, fingerprint_batch
+    from oracles import doc_fingerprint
+    from versatiles_rs_ray.stages.text import fingerprint_batch
 
     texts = ["", "a", "abcdefg", "abcdefgh", "abcdefghi",
              "zzzzzzzz" * 10, "x" * 7 + "Q" * 9, "\x00\x01\x02"]
@@ -70,7 +71,7 @@ def test_fingerprint_batch_matches_single_doc_kernel():
         "text": pa.array(texts),
     })
     got = fingerprint_batch(batch)["fingerprint"].to_pylist()
-    ref = [np.uint64(_doc_fingerprint(t.encode())).astype(np.int64) for t in texts]
+    ref = [np.uint64(doc_fingerprint(t.encode())).astype(np.int64) for t in texts]
     assert got == [int(r) for r in ref]
 
 

@@ -8,10 +8,11 @@ from versatiles_rs_ray.core.traversal import (
     ANY,
     DEPTH_FIRST,
     PMTILES,
-    bbox_str,
     intersect_orders,
     traverse_pyramid,
 )
+
+from oracles import bbox_str
 
 
 def _run(order, size, bbox, zmin, zmax):

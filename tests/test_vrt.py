@@ -4,7 +4,9 @@ from_gdal_raster."""
 import numpy as np
 import pytest
 
-from versatiles_rs_ray.sources.geotiff import read_raster_source, write_tiff
+from versatiles_rs_ray.sources.geotiff import read_raster_source
+
+from oracles import write_tiff
 from versatiles_rs_ray.sources.vrt import looks_like_vrt, read_vrt
 
 GT = (-180.0, 360.0 / 8, 0.0, 90.0, 0.0, -180.0 / 4)

@@ -371,36 +371,11 @@ def cmd_corpus(args):
             from versatiles_rs_ray.stages.dedup import dedup_paragraphs
 
             out = dedup_paragraphs(ds, id_col=args.key, text_col=args.col)
-        else:  # near: n-gram Jaccard pairs -> components -> anti-join
-            import pyarrow.compute as _pc
+        else:  # near: curate_corpus' near-dup stage, nothing else
+            from versatiles_rs_ray.pipelines.curate import drop_near_duplicates
 
-            from versatiles_rs_ray.stages import dedup as DD
-            from versatiles_rs_ray.stages.join import anti_join_ids
-
-            key, col = args.key, args.col
-
-            def std(batch, _k=key, _c=col):
-                import pyarrow as _pa
-
-                b = batch
-                if "doc_num" not in b.column_names:
-                    b = b.append_column("doc_num", b[_k].cast(_pa.int64()))
-                if "text" not in b.column_names:
-                    b = b.append_column("text", b[_c])
-                return b
-
-            stdds = ds.map_batches(std, batch_format="pyarrow")
-            pairs = DD.ngram_jaccard_pairs(stdds, k=5,
-                                           threshold=args.threshold)
-            labels = DD.propagate_min_labels_exchange(pairs)
-
-            def drops(batch):
-                t = batch.filter(
-                    _pc.not_equal(batch["doc_num"], batch["group_id"]))
-                return t.select(["doc_num"])
-
-            drop_ds = labels.map_batches(drops, batch_format="pyarrow")
-            out = anti_join_ids(stdds, drop_ds, "doc_num")
+            out = drop_near_duplicates(ds, id_col=args.key, text_col=args.col,
+                                       near_dup_threshold=args.threshold)
     elif args.op == "normalize":
         from versatiles_rs_ray.stages.text import normalize_docs
 

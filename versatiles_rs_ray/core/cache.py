@@ -21,12 +21,6 @@ def sizeof_bytes(v) -> int:
     return len(v)
 
 
-def sizeof_entries(v) -> int:
-    # decoded directory: list of (tile_id, offset, length, run_length)
-    # tuples; ~4 machine words payload + tuple/list overhead per entry
-    return 64 * len(v) + 64
-
-
 class LimitedCache:
     """LRU dict bounded by total value bytes (never count below one
     entry, so a single oversized value still caches and serves)."""

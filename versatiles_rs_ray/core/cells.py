@@ -1,12 +1,12 @@
-"""Discrete-global-grid cell indexes: S2 cell ids (+ optional H3).
+"""Discrete-global-grid cell indexes: S2 cell ids and geohash.
 
 The graft's north rule calls for H3/S2 encoding of document points
 (BASELINE.json north_star). S2 is implemented here from the published
 s2geometry algorithm (quadratic cube-face projection + Hilbert curve
 position with 4-bit lookup tables) fully vectorized in numpy, so
 `map_batches` stages can compute millions of cell ids per second per
-core. H3 is gated behind a try-import of the `h3` package (absent in
-this sandbox) — see :func:`h3_cell`.
+core. H3 is out of scope: its tables come from the `h3` package,
+which this environment does not ship.
 
 Reference analogue: the tile/bbox pyramid keys of versatiles
 (versatiles_core/src/types/tile_coord.rs, tile_hilbert_index.rs) —
@@ -148,38 +148,10 @@ def s2_parent(cell_id, level):
     return ((cid & neg) | new_lsb).astype(np.int64)
 
 
-def s2_level(cell_id):
-    """Level of a cell id = 30 - (trailing zeros / 2)."""
-    cid = np.atleast_1d(np.asarray(cell_id, dtype=np.uint64))
-    out = np.empty(cid.shape, dtype=np.int64)
-    for idx, c in enumerate(cid.tolist()):
-        tz = (c & -c).bit_length() - 1
-        out[idx] = S2_MAX_LEVEL - tz // 2
-    return out if out.size > 1 else out[0]
-
-
 def s2_token(cell_id):
     """Canonical hex token: 16 hex digits with trailing zeros stripped."""
     cid = np.atleast_1d(np.asarray(cell_id, dtype=np.uint64))
     return np.asarray([format(int(c), "016x").rstrip("0") or "X" for c in cid.tolist()], dtype=object)
-
-
-def h3_cell(lon, lat, resolution):
-    """H3 cell index, delegating to the `h3` package when available.
-
-    The sandbox image does not ship `h3`; at cluster deploy time this
-    resolves to the real library. The fallback raises so callers can
-    gate on availability (the S2 path is the default everywhere).
-    """
-    try:
-        import h3  # noqa: PLC0415
-    except ImportError as exc:  # pragma: no cover - no h3 in sandbox
-        raise NotImplementedError(
-            "h3 package not installed in this environment; use s2_cell_id instead"
-        ) from exc
-    lon = np.atleast_1d(lon)
-    lat = np.atleast_1d(lat)
-    return np.asarray([h3.latlng_to_cell(la, lo, resolution) for lo, la in zip(lon, lat)], dtype=object)
 
 
 # ----------------------------------------------------------------------
@@ -242,33 +214,3 @@ def geohash_encode(lon, lat, precision: int = 9):
     )
 
 
-def geohash_decode(hashes):
-    """Cell-center lon/lat (+ half-cell errors) of geohash strings.
-
-    Accepts mixed precisions. Inverse of geohash_encode: the decoded
-    center re-encodes to the same string (pytest-pinned round trip).
-    """
-    hs = list(hashes)
-    lon = np.empty(len(hs), dtype=np.float64)
-    lat = np.empty(len(hs), dtype=np.float64)
-    lon_err = np.empty(len(hs), dtype=np.float64)
-    lat_err = np.empty(len(hs), dtype=np.float64)
-    rev = {c: i for i, c in enumerate(GEOHASH_ALPHABET.decode())}
-    for row, h in enumerate(hs):
-        gh = 0
-        for ch in h:
-            gh = (gh << 5) | rev[ch]
-        nbits = 5 * len(h)
-        lon_bits, lat_bits = geohash_bits(len(h))
-        lq = tq = 0
-        for k in range(nbits):
-            bit = (gh >> (nbits - 1 - k)) & 1
-            if k % 2 == 0:
-                lq = (lq << 1) | bit
-            else:
-                tq = (tq << 1) | bit
-        lon[row] = (lq + 0.5) / (1 << lon_bits) * 360.0 - 180.0
-        lat[row] = (tq + 0.5) / (1 << lat_bits) * 180.0 - 90.0
-        lon_err[row] = 180.0 / (1 << lon_bits)
-        lat_err[row] = 90.0 / (1 << lat_bits)
-    return lon, lat, lon_err, lat_err

@@ -104,25 +104,6 @@ def optimize_compression(data: bytes, prefer=GZIP):
     return data, RAW
 
 
-def optimize_column(col):
-    """Element-wise optimize_compression over a binary array.
-
-    Returns (binary array, codec string array) — codec varies per
-    element, matching the reference's per-tile best-effort choice.
-    """
-    values = col.to_pylist() if isinstance(col, (pa.Array, pa.ChunkedArray)) else list(col)
-    payloads, codecs = [], []
-    for v in values:
-        if v is None:
-            payloads.append(None)
-            codecs.append(None)
-            continue
-        p, c = optimize_compression(v)
-        payloads.append(p)
-        codecs.append(c)
-    return pa.array(payloads, type=pa.binary()), pa.array(codecs, type=pa.string())
-
-
 def byte_sizes(col) -> np.ndarray:
     """Payload byte lengths (for tile-size histograms, cf.
     versatiles/src/tools/dev_tools/measure_tile_sizes.rs:57-90)."""

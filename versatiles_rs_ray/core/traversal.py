@@ -62,6 +62,3 @@ def traverse_pyramid(pyramid: TileBBoxPyramid, order: str = ANY, size: int = 256
     raise ValueError(f"unknown traversal order {order!r}")
 
 
-def bbox_str(bbox) -> str:
-    """The reference's Display format 'z:[x0,y0,x1,y1]' (for goldens)."""
-    return f"{bbox.level}:[{bbox.x_min},{bbox.y_min},{bbox.x_max},{bbox.y_max}]"

@@ -26,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.hashing import fmix64
+
 # Stage salts: every hash-driven stage decides on a DIFFERENT mix of
 # the id. stratified_sample hashes the raw id (Knuth); the shuffle
 # order and the split assignment each hash an fmix64-salted id —
@@ -37,13 +39,7 @@ _SPLIT_SALT = 0xC2B2AE3D27D4EB4F
 
 
 def _salted_id(ids: np.ndarray, salt: int) -> np.ndarray:
-    h = ids.astype(np.uint64) ^ np.uint64(salt)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CEB9FE1A85EC53)
-        h ^= h >> np.uint64(33)
+    h = fmix64(ids.astype(np.uint64) ^ np.uint64(salt))
     return (h >> np.uint64(1)).astype(np.int64)  # non-negative int64
 
 
@@ -78,6 +74,74 @@ def _as_dedup_view(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
     if text_col != "text":
         out = out.append_column("text", out[text_col])
     return out
+
+
+def drop_near_duplicates(ds, *, id_col: str = "doc_id", text_col: str = "text",
+                         near_dup_threshold: float, ngram_k: int = 5,
+                         near_dup_method: str = "ngram",
+                         near_dup_partitions: int = 32,
+                         ngram_max_df: int | None = None):
+    """The near-dup stage of :func:`curate_corpus` (also ``corpus dedup
+    --mode near``): keep one doc per component of pairs whose shingle
+    Jaccard is >= ``near_dup_threshold`` — the smallest ``id_col`` —
+    and return the input's columns unchanged.
+
+    The pair stages read ``doc_num``/``text``; when ``id_col`` or
+    ``text_col`` has another name, that column is copied under the
+    role name for the stage and dropped after, so an input that
+    already holds a ``doc_num`` or ``text`` column of its own is
+    refused (ValueError) instead of silently deduplicated on it.
+    """
+    import functools
+
+    import pyarrow.compute as pc
+
+    from ..stages import dedup as DD
+    from ..stages.join import anti_join_ids
+
+    for reserved, param in (("doc_num", id_col), ("text", text_col)):
+        if reserved != param and reserved in ds.schema().names:
+            raise ValueError(
+                f"near-dup stage reserves column {reserved!r} (input "
+                f"already has it; rename it or pass it as the "
+                f"{reserved}-role column)")
+    view = ds.map_batches(
+        functools.partial(_as_dedup_view, id_col=id_col, text_col=text_col),
+        batch_format="pyarrow")
+    if near_dup_method == "minhash":
+        # the 100-TB path: banded MinHash-LSH candidates (hot
+        # buckets capped + logged) -> co-partitioned EXACT Jaccard
+        # verify — shuffle volume O(signatures + candidate pairs),
+        # never the Sum(df^2) of the exact inverted index below.
+        # Signatures run as plain tasks (per-process cached
+        # constants): zero pool ramp, scales to every core.
+        cand = DD.minhash_candidates(
+            view, k=ngram_k, num_partitions=near_dup_partitions)
+        pairs = DD.jaccard_verify_exchange(
+            cand, view, k=ngram_k, threshold=near_dup_threshold,
+            num_partitions=near_dup_partitions)
+    elif near_dup_method == "ngram":
+        pairs = DD.ngram_jaccard_pairs(view, k=ngram_k,
+                                       threshold=near_dup_threshold,
+                                       max_df=ngram_max_df)
+    else:
+        raise ValueError(
+            f"curate_corpus: near_dup_method must be 'ngram' or "
+            f"'minhash', got {near_dup_method!r}")
+    labels = DD.propagate_min_labels_exchange(pairs)
+
+    def drops(batch: pa.Table) -> pa.Table:
+        t = batch.filter(pc.not_equal(batch["doc_num"], batch["group_id"]))
+        return t.select(["doc_num"])
+
+    drop_ds = labels.map_batches(drops, batch_format="pyarrow")
+    # near-dup drops are typically a small corpus fraction: the
+    # Bloom runtime filter keeps definite survivors out of the
+    # anti-join exchange entirely (exact semantics preserved)
+    out = anti_join_ids(view, drop_ds, "doc_num", bloom_bits=1 << 24)
+    appended = [c for c, param in (("doc_num", id_col), ("text", text_col))
+                if c != param]
+    return out.drop_columns(appended) if appended else out
 
 
 def curate_corpus(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -139,55 +203,12 @@ def curate_corpus(ds, *, id_col: str = "doc_id", text_col: str = "text",
     ds = _cb("exact_dedup", quota_per_key(ds, text_col, id_col, 1))
 
     if near_dup_threshold is not None:
-        from ..stages import dedup as DD
-        from ..stages.join import anti_join_ids
-        import pyarrow.compute as pc
-
-        for reserved, param in (("doc_num", id_col), ("text", text_col)):
-            if reserved != param and reserved in ds.schema().names:
-                raise ValueError(
-                    f"curate_corpus near-dup stage reserves column "
-                    f"{reserved!r} (input already has it; rename it or "
-                    f"pass it as the {reserved}-role column)")
-        view = ds.map_batches(
-            functools.partial(_as_dedup_view, id_col=id_col, text_col=text_col),
-            batch_format="pyarrow")
-        if near_dup_method == "minhash":
-            # the 100-TB path: banded MinHash-LSH candidates (hot
-            # buckets capped + logged) -> co-partitioned EXACT Jaccard
-            # verify — shuffle volume O(signatures + candidate pairs),
-            # never the Sum(df^2) of the exact inverted index below.
-            # Signatures run as plain tasks (per-process cached
-            # constants): zero pool ramp, scales to every core.
-            cand = DD.minhash_candidates(
-                view, k=ngram_k, num_partitions=near_dup_partitions)
-            pairs = DD.jaccard_verify_exchange(
-                cand, view, k=ngram_k, threshold=near_dup_threshold,
-                num_partitions=near_dup_partitions)
-        elif near_dup_method == "ngram":
-            pairs = DD.ngram_jaccard_pairs(view, k=ngram_k,
-                                           threshold=near_dup_threshold,
-                                           max_df=ngram_max_df)
-        else:
-            raise ValueError(
-                f"curate_corpus: near_dup_method must be 'ngram' or "
-                f"'minhash', got {near_dup_method!r}")
-        labels = DD.propagate_min_labels_exchange(pairs)
-
-        def drops(batch: pa.Table) -> pa.Table:
-            t = batch.filter(pc.not_equal(batch["doc_num"], batch["group_id"]))
-            return t.select(["doc_num"])
-
-        drop_ds = labels.map_batches(drops, batch_format="pyarrow")
-        # near-dup drops are typically a small corpus fraction: the
-        # Bloom runtime filter keeps definite survivors out of the
-        # anti-join exchange entirely (exact semantics preserved)
-        ds = anti_join_ids(view, drop_ds, "doc_num", bloom_bits=1 << 24)
-        appended = [c for c, param in (("doc_num", id_col), ("text", text_col))
-                    if c != param]
-        if appended:
-            ds = ds.drop_columns(appended)
-        ds = _cb("near_dup", ds)
+        ds = _cb("near_dup", drop_near_duplicates(
+            ds, id_col=id_col, text_col=text_col,
+            near_dup_threshold=near_dup_threshold, ngram_k=ngram_k,
+            near_dup_method=near_dup_method,
+            near_dup_partitions=near_dup_partitions,
+            ngram_max_df=ngram_max_df))
 
     if ppl_percentile is not None and max_ppl_micro is not None:
         raise ValueError(

@@ -30,8 +30,7 @@ import pyarrow.parquet as pq
 from ..core import coords
 from ..sources.docs import read_docs
 from ..stages.assign import assign_tiles, unpack_tkey
-from ..stages.exchange import hash_exchange
-from ..stages.pyramid import aggregate_pyramid_spatial, combine_tile_stats_block
+from ..stages.pyramid import aggregate_pyramid_spatial
 from ..state.manifest import Manifest, lineage_hash
 
 
@@ -124,8 +123,7 @@ def read_pyramid(out_dir: str):
 
 def _write_level(manifest: Manifest, records: dict, levels: list, tiles):
     """Write every level in ``levels`` from the combined tile stats
-    ``tiles`` in one task round, then commit each level atomically
-    (shared by build/increment so the resume protocol cannot diverge).
+    ``tiles`` in one task round, then commit each level atomically.
 
     begin one tmp dir per level -> one ``_write_block`` task per block
     -> per level, the rows the tasks report must equal the rows in the
@@ -182,54 +180,3 @@ def _write_block(batch: pa.Table, level_dirs: dict) -> pa.Table:
     return pa.table({"z": pa.array(zs, type=pa.int64()),
                      "rows": pa.array(rows, type=pa.int64())})
 
-
-def increment_pyramid(delta_docs_ds, base_dir: str, out_dir: str,
-                      z_base: int, z_min: int = 0, *, delta_tag: str,
-                      num_buckets: int = 64):
-    """Merge a DELTA corpus into an existing written pyramid without
-    re-reading the base corpus — the daily-increment path at 100 TB.
-
-    Possible because every per-tile stat is a decomposable aggregate
-    (sum/min/max): the delta runs the normal one-exchange spatial
-    aggregation, the BASE levels are read back from their parquet
-    partitions (tile stats, ~10^6x smaller than the corpus), and one
-    more exchange on tkey merges the two — cost is O(delta + tiles),
-    never O(base corpus). ``delta_tag`` is REQUIRED and must uniquely
-    name the delta (a date, a batch id): it is the delta's identity in
-    the output lineage — reusing a tag against the same base makes the
-    run a resume NO-OP, not a second merge. The base's own manifest
-    lineage folds into the output lineage, so rebuilding the base with
-    different inputs/params invalidates the increment; the requested
-    z range must match the base's built levels exactly (a mismatched
-    merge would silently drop corpus data). pytest asserts
-    bit-equality with a full rebuild of base+delta.
-    """
-    base_all = Manifest(base_dir, "").latest()
-    want = {f"z={z}" for z in range(z_min, z_base + 1)}
-    if set(base_all) != want:
-        raise ValueError(
-            f"base pyramid levels {sorted(base_all)} do not match the "
-            f"requested range z={z_min}..{z_base}")
-    base_lineage = next(iter(base_all.values()), {}).get("lineage", "")
-
-    params = {"z_base": z_base, "z_min": z_min, "base": base_lineage,
-              "delta": delta_tag, "v": 2}
-    lineage = lineage_hash([base_dir], params)
-    manifest = Manifest(out_dir, lineage)
-    manifest.invalidate_stale()
-    done = manifest.load()
-    records = dict(done)
-    missing = [z for z in range(z_min, z_base + 1) if f"z={z}" not in done]
-    if not missing:  # completed increment: resume costs nothing
-        return records
-
-    stats_cols = ["tkey", "n_docs", "n_spans", "min_doc", "max_doc"]
-    delta_tiles = aggregate_pyramid_spatial(
-        assign_tiles(delta_docs_ds, z_base), z_base, z_min,
-        num_buckets=num_buckets,
-    ).select_columns(stats_cols)
-    base_tiles = read_pyramid(base_dir).select_columns(stats_cols)
-    merged = hash_exchange(base_tiles.union(delta_tiles), "tkey",
-                           combine_tile_stats_block, num_partitions=num_buckets)
-    _write_level(manifest, records, missing, merged)
-    return records

@@ -73,10 +73,6 @@ def _accept_encodings(headers) -> set:
     return out
 
 
-def _accepts_gzip(headers) -> bool:
-    return "gzip" in _accept_encodings(headers)
-
-
 class TileSource:
     """One mounted container: random-access reader + cached TileJSON.
 
@@ -198,32 +194,6 @@ class TileSource:
 
     def get_tile(self, z: int, x: int, y: int):
         return self.reader.get_tile(z, x, y)
-
-
-class MemTileSource:
-    """In-memory tile source (materialized VPL pipelines, tests):
-    same surface as TileSource."""
-
-    def __init__(self, source_id: str, tiles: dict, fmt_hint=None,
-                 compression: str = "raw", meta: dict | None = None):
-        self.id = source_id
-        self.path = f"mem://{source_id}"
-        self.fmt_hint = fmt_hint
-        self.compression = compression
-        self._tiles = tiles
-        self._meta = meta
-
-    def tilejson(self, base_url: str) -> dict:
-        doc = {
-            "tilejson": "3.0.0",
-            "tiles": [f"{base_url}/tiles/{self.id}/{{z}}/{{x}}/{{y}}"],
-        }
-        if self._meta:
-            doc.update(self._meta)
-        return doc
-
-    def get_tile(self, z: int, x: int, y: int):
-        return self._tiles.get((z, x, y))
 
 
 def _guess_mime(name: str) -> str:
@@ -509,7 +479,7 @@ def _make_handler(sources: dict, base_url_holder: list, statics: list = (),
                     # mime: fmt_hint through the GUARDED helper (svg/
                     # topojson have no entry). Cache per source ONLY
                     # when fmt_hint declares a uniform format; hintless
-                    # sources (e.g. a mixed MemTileSource) sniff each
+                    # sources (e.g. a mixed in-memory one) sniff each
                     # tile's magic bytes — a per-source cache would pin
                     # the first format seen onto every later tile
                     if src.fmt_hint is not None and src.fmt_hint in FORMAT_MIME:

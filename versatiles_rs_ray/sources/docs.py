@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..core.hashing import fmix64
+
 # ---- derivation constants (shared numpy <-> SQL) ----------------------
 LON_MULT = 2654435761  # Knuth multiplicative hash constant
 LAT_MULT = 2246822519
@@ -251,7 +253,7 @@ def derive_docs_batch(batch: pa.Table, columns=None) -> pa.Table:
 
 def have_lance() -> bool:
     """True when the `lance` package is importable (absent in this
-    sandbox; the gate mirrors core/cells.py's h3 gate)."""
+    sandbox)."""
     try:
         import lance  # noqa: F401
 
@@ -339,8 +341,7 @@ def adapt_interleaved_batch(batch: pa.Table, columns=None) -> pa.Table:
 def read_docs_lance(path: str, columns=None):
     """Docs Dataset from a Lance table of the input_hint shape.
 
-    GATED on the `lance` package (not in this container — same posture
-    as the h3 gate in core/cells.py): when present,
+    GATED on the `lance` package (not in this container): when present,
     ``ray.data.read_lance`` gives per-fragment read tasks with column
     projection pushed to the Lance scanner; the hint->docs adaptation
     runs as a zero-copy Arrow map_batches. When absent, raises with
@@ -390,8 +391,9 @@ def _shard_table(path: str) -> pa.Table:
     return t
 
 
-def _read_shard(batch: pa.Table, path: str, columns=None) -> pa.Table:
-    """One task per replica id: shift the id space, derive the table.
+def _read_shard(path: str, replicas, columns=None) -> pa.Table:
+    """One read task's replicas of the base table: shift the id space
+    per replica, derive the docs table.
 
     Mirrors how the engine reads a many-fragment Lance/parquet dataset
     at real scale — one read task per fragment — instead of
@@ -399,18 +401,33 @@ def _read_shard(batch: pa.Table, path: str, columns=None) -> pa.Table:
     pipeline behind one task.
     """
     base = _shard_table(path)
-    out = []
-    for r in np.asarray(batch["id"], dtype=np.int64).tolist():
-        t = base.set_column(
-            base.schema.get_field_index("doc_id"),
-            "doc_id",
-            pa.array(
-                np.asarray(base["doc_id"], dtype=np.int64) + r * REPLICA_STRIDE,
-                type=pa.int64(),
-            ),
-        )
-        out.append(derive_docs_batch(t, columns=columns))
-    return pa.concat_tables(out)
+    doc_id = np.asarray(base["doc_id"], dtype=np.int64)
+    i = base.schema.get_field_index("doc_id")
+    return pa.concat_tables([
+        derive_docs_batch(base.set_column(
+            i, "doc_id", pa.array(doc_id + r * REPLICA_STRIDE, type=pa.int64())),
+            columns=columns)
+        for r in replicas
+    ])
+
+
+def read_specs(specs, load_fn):
+    """Dataset with one read task per picklable spec: task ``i`` returns
+    ``load_fn(specs[i])``.
+
+    The one loader behind the replicated docs, the zipf corpus and the
+    spec-fed pyramid. Read granularity is set by the specs, never by a
+    downstream batch_size: a coalescing batch_size on a later stage
+    would fuse upstream tasks together and serialize the pipeline
+    (observed 10x slowdowns).
+    """
+    import ray.data as rd
+
+    def load(batch: pa.Table, _specs=specs) -> pa.Table:
+        return pa.concat_tables([load_fn(_specs[i]) for i in batch["id"].to_pylist()])
+
+    return rd.range(len(specs), override_num_blocks=len(specs)).map_batches(
+        load, batch_format="pyarrow")
 
 
 def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: int = 8):
@@ -418,9 +435,11 @@ def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: in
 
     ``replicate > 1`` deterministically tiles the id space for
     benchmark-scale inputs (doc_id' = doc_id + r * REPLICA_STRIDE) —
-    the sandbox stand-in for the 10^12-row Lance table; each replica is
-    its own read task (parallel, like per-fragment reads). Ray is
-    assumed to be initialised by the caller.
+    the sandbox stand-in for the 10^12-row Lance table — read through
+    :func:`read_specs` over :func:`shard_specs`: one read task per
+    ``shards_per_task`` consecutive replicas (the last task takes the
+    remainder), like per-fragment reads. Ray is assumed to be
+    initialised by the caller.
     """
     import ray.data as rd  # deferred: library code must not touch ray at import
 
@@ -433,20 +452,12 @@ def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: in
     if replicate == 1 and os.path.isdir(lance_path) and have_lance():
         return read_docs_lance(lance_path, columns=columns)
 
-    path = f"{sf_dir}/documents.parquet"
     if replicate > 1:
-        # granularity is set HERE (shards per read task), never by a
-        # downstream batch_size: a coalescing batch_size on a later
-        # stage would fuse upstream tasks together and serialize the
-        # pipeline (observed 10x slowdowns).
-        n_blocks = max(1, replicate // shards_per_task)
-        ds = rd.range(replicate, override_num_blocks=n_blocks)
-        ds = ds.map_batches(
-            functools.partial(_read_shard, path=path, columns=columns),
-            batch_format="pyarrow",
-        )
+        ds = read_specs(shard_specs(sf_dir, replicate, shards_per_task, columns),
+                        load_shard_spec)
     else:
-        ds = rd.read_parquet(path, columns=["doc_id", "text", "lang", "source", "n_chars"])
+        ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
+                             columns=["doc_id", "text", "lang", "source", "n_chars"])
         ds = ds.map_batches(
             functools.partial(derive_docs_batch, columns=columns), batch_format="pyarrow"
         )
@@ -456,12 +467,15 @@ def read_docs(sf_dir: str, replicate: int = 1, columns=None, shards_per_task: in
 
 
 def shard_specs(sf_dir: str, replicate: int, shards_per_task: int = 64, columns=None):
-    """Picklable input specs, one per read task (``load_shard_spec``).
+    """Picklable input specs, one per read task (``load_shard_spec``):
+    ``shards_per_task`` consecutive replicas each, the last spec taking
+    the remainder.
 
     Describes the read as a pure function of a spec — mirroring
-    per-fragment reads of a many-fragment Lance/parquet table; the
-    benchmark pyramid (stages/pyramid.aggregate_pyramid_spatial_fused)
-    turns the specs into a docs Dataset with one read task each.
+    per-fragment reads of a many-fragment Lance/parquet table;
+    :func:`read_specs` turns them into a docs Dataset (``read_docs``
+    with ``replicate > 1``, and the benchmark pyramid through
+    stages/pyramid.aggregate_pyramid_spatial_fused).
     """
     path = f"{sf_dir}/documents.parquet"
     out = []
@@ -478,8 +492,7 @@ def shard_specs(sf_dir: str, replicate: int, shards_per_task: int = 64, columns=
 
 def load_shard_spec(spec) -> pa.Table:
     """Materialize one shard spec -> interleaved docs table."""
-    batch = pa.table({"id": pa.array(spec["replicas"], type=pa.int64())})
-    return _read_shard(batch, spec["path"], columns=spec["columns"])
+    return _read_shard(spec["path"], spec["replicas"], columns=spec["columns"])
 
 
 # ---- zipf-skewed curation benchmark corpus ----------------------------
@@ -515,17 +528,6 @@ _ZIPF_SALT_MUT = 0xA3C59AC311377387
 _ZIPF_SALT_FAM = 0x8AD93B6B1E995F8D
 
 
-def _fmix64(x: np.ndarray) -> np.ndarray:
-    h = x.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CEB9FE1A85EC53)
-        h ^= h >> np.uint64(33)
-    return h
-
-
 _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _FAM_TOKENS = 24  # tokens per template text (fixed width: vectorized)
 
@@ -535,7 +537,7 @@ def _token_matrix(ids: np.ndarray, n_tok: int, ns: int) -> pa.Array:
     8-hex-char tokens from fmix64(id * 64 + j + ns) joined by spaces —
     one uint8 matrix, one Arrow buffer, zero per-row Python."""
     n = len(ids)
-    tok = _fmix64((ids[:, None].astype(np.int64) * 64
+    tok = fmix64((ids[:, None].astype(np.int64) * 64
                    + np.arange(n_tok, dtype=np.int64)[None, :]) + ns)
     v = (tok >> np.uint64(32)).astype(np.uint64)
     width = 9 * n_tok  # 8 hex chars + separator each
@@ -601,13 +603,13 @@ def load_zipf_shard(spec) -> pa.Table:
     base_text, base_lang, cdf = _zipf_base(spec["path"], float(spec["s"]))
     K = len(base_text)
     g = np.arange(spec["lo"], spec["hi"], dtype=np.int64)
-    mut = (_fmix64(g ^ np.int64(np.uint64(_ZIPF_SALT_MUT)
+    mut = (fmix64(g ^ np.int64(np.uint64(_ZIPF_SALT_MUT)
                                 .astype(np.int64))) % np.uint64(1000)
            ) < np.uint64(spec["mutate_permille"])
     ge, gf = g[~mut], g[mut]
 
     # exact-dup leg: zipf rank pick over the K base texts
-    u = _fmix64(ge ^ np.int64(np.uint64(_ZIPF_SALT_PICK)
+    u = fmix64(ge ^ np.int64(np.uint64(_ZIPF_SALT_PICK)
                               .astype(np.int64))) \
         .astype(np.float64) / 2.0 ** 64
     r = np.searchsorted(cdf, u, side="right").clip(0, K - 1)
@@ -623,7 +625,7 @@ def load_zipf_shard(spec) -> pa.Table:
 
     # near-dup leg: template pick (uniform over bounded families) plus
     # a doc-unique token -> families of ~4 pairwise near-dups
-    fam = (_fmix64(gf ^ np.int64(np.uint64(_ZIPF_SALT_FAM)
+    fam = (fmix64(gf ^ np.int64(np.uint64(_ZIPF_SALT_FAM)
                                  .astype(np.int64)))
            % np.uint64(spec["n_families"])).astype(np.int64)
     text_f = pc.binary_join_element_wise(
@@ -647,17 +649,7 @@ def read_zipf_docs(sf_dir: str, n_docs: int, s: float = 1.3,
                    mutate_permille: int = 300,
                    docs_per_task: int = 50_000):
     """The zipf corpus as a streaming Dataset (one read task per spec)."""
-    import functools
-
-    import ray.data as rd
-
-    specs = zipf_doc_specs(sf_dir, n_docs, s=s,
-                           mutate_permille=mutate_permille,
-                           docs_per_task=docs_per_task)
-    ds = rd.range(len(specs), override_num_blocks=len(specs))
-
-    def load(batch: pa.Table, _specs=specs) -> pa.Table:
-        tabs = [load_zipf_shard(_specs[int(i)]) for i in batch["id"].to_pylist()]
-        return pa.concat_tables(tabs)
-
-    return ds.map_batches(load, batch_format="pyarrow")
+    return read_specs(zipf_doc_specs(sf_dir, n_docs, s=s,
+                                     mutate_permille=mutate_permille,
+                                     docs_per_task=docs_per_task),
+                      load_zipf_shard)

@@ -91,25 +91,6 @@ def read_ndjson_features(path: str):
     return rd.read_text(path).map_batches(parse, batch_format="numpy")
 
 
-def features_to_geojson(records) -> str:
-    """Flat records -> GeoJSON FeatureCollection string (stringify path)."""
-    features = []
-    for r in records:
-        features.append(
-            {
-                "type": "Feature",
-                **({"id": r["feature_id"]} if r.get("feature_id") is not None else {}),
-                "geometry": (
-                    json.loads(r["geometry"])
-                    if r.get("geometry")
-                    else {"type": "Point", "coordinates": [r["lon"], r["lat"]]}
-                ),
-                "properties": json.loads(r["properties"]) if isinstance(r.get("properties"), str) else r.get("properties", {}),
-            }
-        )
-    return json.dumps({"type": "FeatureCollection", "features": features}, sort_keys=True)
-
-
 def _geometry_parts(gtype: str, coords):
     """Normalize GeoJSON coordinates to a list of coordinate sequences
     (rings for polygons, lines for linestrings, singletons for points),

@@ -194,103 +194,6 @@ def _lzw_decode(data: bytes) -> bytes:
             width += 1
 
 
-def _packbits_encode(data: bytes) -> bytes:
-    """Greedy PackBits: repeat runs >=2 as RLE, the rest as literals."""
-    out = bytearray()
-    i, n = 0, len(data)
-    while i < n:
-        # find run length at i
-        j = i + 1
-        while j < n and j - i < 128 and data[j] == data[i]:
-            j += 1
-        if j - i >= 2:
-            out += bytes([257 - (j - i), data[i]])
-            i = j
-            continue
-        # literal stretch: until the next >=3 run or 128 bytes
-        j = i + 1
-        while j < n and j - i < 128:
-            if j + 2 < n and data[j] == data[j + 1] == data[j + 2]:
-                break
-            j += 1
-        out += bytes([j - i - 1]) + data[i:j]
-        i = j
-    return bytes(out)
-
-
-def _lzw_encode(data: bytes) -> bytes:
-    """TIFF LZW encoder, the exact mirror of :func:`_lzw_decode`'s
-    width schedule: the decoder's table runs one entry behind the
-    encoder's at equal stream positions, so the decoder bumping at
-    table length 2^w - 1 corresponds to the encoder bumping when its
-    next free code reaches 2^w."""
-    out = bytearray()
-    bits = nbits = 0
-
-    def emit(code: int, width: int):
-        nonlocal bits, nbits
-        bits = (bits << width) | code
-        nbits += width
-        while nbits >= 8:
-            out.append((bits >> (nbits - 8)) & 0xFF)
-            nbits -= 8
-
-    width = 9
-    table: dict[bytes, int] = {bytes([i]): i for i in range(256)}
-    next_free = 258
-    emit(_LZW_CLEAR, width)
-    s = b""
-    for bch in data:
-        sb = s + bytes([bch])
-        if sb in table:
-            s = sb
-            continue
-        emit(table[s], width)
-        table[sb] = next_free
-        next_free += 1
-        if next_free == (1 << width) and width < 12:
-            width += 1
-        if next_free == 4094:  # 12-bit table nearly full: restart
-            emit(_LZW_CLEAR, width)
-            table = {bytes([i]): i for i in range(256)}
-            next_free = 258
-            width = 9
-        s = bytes([bch])
-    if s:
-        emit(table[s], width)
-    emit(_LZW_EOI, width)
-    if nbits:
-        out.append((bits << (8 - nbits)) & 0xFF)
-    return bytes(out)
-
-
-def _split_jpeg_tables(buf: bytes):
-    """Standalone JPEG -> (JPEGTables stream, abbreviated stream).
-
-    Moves the DQT/DHT segments into an SOI..EOI tables stream (TIFF
-    tag 347, TIFF-EP "new-style" JPEG) and leaves everything else —
-    APPn, SOF, SOS+scan — in the abbreviated per-chunk stream. The
-    shape GDAL writes for JPEG-in-TIFF satellite exports."""
-    if buf[:2] != b"\xff\xd8":
-        raise ValueError("not a JPEG stream")
-    tables = bytearray(b"\xff\xd8")
-    rest = bytearray(b"\xff\xd8")
-    pos = 2
-    while pos + 4 <= len(buf):
-        if buf[pos] != 0xFF:
-            raise ValueError("bad JPEG segment marker")
-        marker = buf[pos + 1]
-        if marker == 0xDA:  # SOS: scan runs to EOI — copy verbatim
-            rest += buf[pos:]
-            break
-        seglen = struct.unpack_from(">H", buf, pos + 2)[0]
-        seg = buf[pos:pos + 2 + seglen]
-        (tables if marker in (0xDB, 0xC4) else rest).extend(seg)
-        pos += 2 + seglen
-    tables += b"\xff\xd9"
-    return bytes(tables), bytes(rest)
-
-
 def _jpeg_with_tables(chunk: bytes, tables) -> bytes:
     """Re-join an abbreviated JPEG chunk with the shared JPEGTables
     stream: insert the tables' segments right after the chunk's SOI
@@ -525,183 +428,6 @@ def read_geotiff(path_or_bytes) -> GeoTIFF:
               gt[3] - 0.5 * gt[5], gt[4], gt[5])
     return GeoTIFF(array=arr, geotransform=gt, epsg=int(epsg),
                    model_type=int(model_type), raster_type=int(raster_type))
-
-
-def write_tiff(arr: np.ndarray, *, geotransform=None, epsg: int = 4326,
-               tiled: bool = False, compression: int = 8,
-               predictor: int = 2, bigtiff: bool = False,
-               planar: int = 1, photometric: int | None = None,
-               colormap: np.ndarray | None = None,
-               jpeg_tables: bool = False, jpeg_quality: int = 95) -> bytes:
-    """Minimal GeoTIFF writer (test fixture generator + container parity:
-    the reference writes no TIFFs, but round-trip tests need one source
-    of truth for the reader's layout handling). Sample depth/signedness
-    follows ``arr.dtype`` (uint8 / uint16 / int16); ``bigtiff`` emits
-    the magic-43 64-bit layout; ``planar=2`` writes separate planes."""
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    h, w, c = arr.shape
-    if arr.dtype == np.uint8:
-        depth, signed = 8, False
-    elif arr.dtype == np.uint16:
-        depth, signed = 16, False
-    elif arr.dtype == np.int16:
-        depth, signed = 16, True
-    else:
-        raise NotImplementedError(f"write_tiff: dtype {arr.dtype} unsupported")
-    work = arr.view(np.uint16) if signed else arr  # predictor on bit pattern
-    wdt = work.dtype
-    if compression == 7:
-        # new-style JPEG (tag 259=7): 8-bit chunky only, lossy chunks,
-        # no predictor; jpeg_tables=True moves the shared DQT/DHT into
-        # tag 347 and leaves abbreviated streams per chunk (GDAL's
-        # default layout for JPEG-compressed satellite exports)
-        if depth != 8 or signed or planar != 1 or c not in (1, 3):
-            raise NotImplementedError(
-                "JPEG-in-TIFF writing needs uint8 chunky 1- or 3-sample data")
-        predictor = 1
-        if photometric is None:
-            photometric = 6 if c == 3 else 1
-
-    def enc(block: np.ndarray) -> bytes:
-        if compression == 7:
-            from ..core.jpeg import encode_jpeg
-
-            blk = block[:, :, 0] if block.shape[2] == 1 else block
-            return encode_jpeg(np.ascontiguousarray(blk, dtype=np.uint8),
-                               quality=jpeg_quality)
-        if predictor == 2:
-            bc = block.shape[2]
-            block = np.diff(block.astype(np.int64), axis=1,
-                            prepend=np.zeros((block.shape[0], 1, bc), np.int64))
-            block = (block & ((1 << depth) - 1)).astype(wdt)
-        raw = block.astype("<" + wdt.str[1:]).tobytes()
-        if compression in (8, 32946):
-            return zlib.compress(raw)
-        if compression == 5:
-            return _lzw_encode(raw)
-        if compression == 32773:
-            return _packbits_encode(raw)
-        return raw
-
-    planes = [work] if planar == 1 else [work[:, :, i:i + 1] for i in range(c)]
-    chunks = []
-    for pl in planes:
-        if tiled:
-            tw = th = 64
-            for y0 in range(0, h, th):
-                for x0 in range(0, w, tw):
-                    tile = np.zeros((th, tw, pl.shape[2]), wdt)
-                    sub = pl[y0:y0 + th, x0:x0 + tw]
-                    tile[: sub.shape[0], : sub.shape[1]] = sub
-                    chunks.append(enc(tile))
-        else:
-            rps = 16
-            for y0 in range(0, h, rps):
-                chunks.append(enc(pl[y0:y0 + rps]))
-    jtables = None
-    if compression == 7 and jpeg_tables:
-        # fixed quality -> identical DQT/DHT in every chunk; hoist the
-        # first chunk's tables and abbreviate all chunks
-        split = [_split_jpeg_tables(ch) for ch in chunks]
-        jtables = split[0][0]
-        chunks = [s[1] for s in split]
-
-    # layout: header | chunk data | geo doubles | IFD
-    header_len = 16 if bigtiff else 8
-    data_off = header_len
-    offsets, counts = [], []
-    for ch in chunks:
-        offsets.append(data_off)
-        counts.append(len(ch))
-        data_off += len(ch)
-    body = b"".join(chunks)
-
-    entries = []  # (tag, type, count, packed-or-(values, payload))
-
-    def add(tag, ftype, values):
-        entries.append((tag, ftype, values))
-
-    off_type = 16 if bigtiff else 4  # u64 offsets in BigTIFF fixtures
-    add(TAG_WIDTH, 3, (w,))
-    add(TAG_HEIGHT, 3, (h,))
-    add(TAG_BITS, 3, (depth,) * c)
-    add(TAG_COMPRESSION, 3, (compression,))
-    if photometric is None:
-        photometric = 3 if colormap is not None else (2 if c >= 3 else 1)
-    add(TAG_PHOTOMETRIC, 3, (photometric,))
-    if colormap is not None:
-        cm = np.ascontiguousarray(colormap, dtype=np.uint16).reshape(3, -1)
-        if cm.shape[1] != (1 << depth):
-            raise ValueError(f"colormap needs {1 << depth} entries per channel")
-        add(TAG_COLORMAP, 3, tuple(int(v) for v in cm.ravel()))
-    add(TAG_SAMPLES, 3, (c,))
-    if tiled:
-        add(TAG_TILE_WIDTH, 3, (64,))
-        add(TAG_TILE_HEIGHT, 3, (64,))
-        add(TAG_TILE_OFFSETS, off_type, tuple(offsets))
-        add(TAG_TILE_COUNTS, 4, tuple(counts))
-    else:
-        add(TAG_ROWS_PER_STRIP, 3, (16,))
-        add(TAG_STRIP_OFFSETS, off_type, tuple(offsets))
-        add(TAG_STRIP_COUNTS, 4, tuple(counts))
-    add(TAG_PLANAR, 3, (planar,))
-    add(TAG_PREDICTOR, 3, (predictor,))
-    if jtables is not None:
-        add(TAG_JPEG_TABLES, 7, tuple(jtables))
-    if signed:
-        add(TAG_SAMPLE_FORMAT, 3, (2,) * c)
-    if geotransform is not None:
-        x0, dx, rx, y0, ry, dy = geotransform
-        if rx or ry:
-            raise NotImplementedError(
-                "rotated geotransforms cannot be expressed as "
-                "PixelScale+Tiepoint; ModelTransformationTag writing is "
-                "not implemented")
-        add(TAG_PIXEL_SCALE, 12, (dx, -dy, 0.0))
-        add(TAG_TIEPOINT, 12, (0.0, 0.0, 0.0, x0, y0, 0.0))
-        mt = 2 if epsg == 4326 or 4200 <= epsg < 5000 else 1
-        code_key = KEY_GEOGRAPHIC_TYPE if mt == 2 else KEY_PROJECTED_CS
-        add(TAG_GEO_KEYS, 3, (1, 1, 0, 3,
-                              KEY_MODEL_TYPE, 0, 1, mt,
-                              KEY_RASTER_TYPE, 0, 1, 1,
-                              code_key, 0, 1, epsg))
-
-    entries.sort(key=lambda e: e[0])
-    # out-of-line payloads go after the IFD
-    ifd_off = header_len + len(body)
-    if bigtiff:
-        ifd_len = 8 + len(entries) * 20 + 8
-        inline = 8
-        ifd = struct.pack("<Q", len(entries))
-    else:
-        ifd_len = 2 + len(entries) * 12 + 4
-        inline = 4
-        ifd = struct.pack("<H", len(entries))
-    tail_off = ifd_off + ifd_len
-    tail = b""
-    for tag, ftype, values in entries:
-        fmt, size = _FIELD[ftype]
-        nbytes = size * len(values)
-        packed = struct.pack("<" + str(len(values)) + fmt, *values)
-        if bigtiff:
-            if nbytes <= inline:
-                ifd += struct.pack("<HHQ", tag, ftype, len(values)) + packed.ljust(8, b"\0")
-            else:
-                ifd += struct.pack("<HHQQ", tag, ftype, len(values), tail_off + len(tail))
-                tail += packed
-        else:
-            if nbytes <= inline:
-                ifd += struct.pack("<HHI", tag, ftype, len(values)) + packed.ljust(4, b"\0")
-            else:
-                ifd += struct.pack("<HHII", tag, ftype, len(values), tail_off + len(tail))
-                tail += packed
-    ifd += struct.pack("<Q" if bigtiff else "<I", 0)  # next-IFD pointer: none
-    if bigtiff:
-        head = struct.pack("<2sHHHQ", b"II", 43, 8, 0, ifd_off)
-    else:
-        head = struct.pack("<2sHI", b"II", 42, ifd_off)
-    return head + body + ifd + tail
 
 
 # ---- world-file rasters (GDAL's PNG/JPEG/WEBP-with-sidecar path) --------

@@ -153,15 +153,3 @@ def read_hgt(path: str, epsg: int | None = None):
         model_type=2, raster_type=2)
 
 
-def write_aaigrid(path: str, grid: np.ndarray, xll: float, yll: float,
-                  cellsize: float, nodata=None) -> None:
-    """Fixture writer (tests validate the reader against hand-written
-    text too, per the reader-independence rule)."""
-    grid = np.asarray(grid)
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"ncols {grid.shape[1]}\nnrows {grid.shape[0]}\n")
-        f.write(f"xllcorner {xll}\nyllcorner {yll}\ncellsize {cellsize}\n")
-        if nodata is not None:
-            f.write(f"NODATA_value {nodata}\n")
-        for row in grid:
-            f.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -302,93 +302,3 @@ def read_netcdf(path_or_bytes, epsg: int | None = None) -> GeoTIFF:
                    model_type=2 if code == 4326 else 1, raster_type=2)
 
 
-def write_netcdf(path: str, grid: np.ndarray, ycoord, xcoord, *,
-                 yname: str = "lat", xname: str = "lon",
-                 gatts: dict | None = None, grid_atts: dict | None = None,
-                 record_dim: bool = False,
-                 coord_dtype: str = "f8") -> None:
-    """Minimal CDF-1 writer for fixtures and grid exports: one data
-    variable over (y, x) coordinate variables (optionally behind a
-    record time dimension). Layout follows the classic-format spec:
-    header, fixed-size variables in definition order, then the record
-    block."""
-    grid = np.asarray(grid)
-    if grid.dtype == np.int8:
-        nc_type = 1
-    elif grid.dtype == np.int16:
-        nc_type = 3
-    elif grid.dtype == np.int32:
-        nc_type = 4
-    else:
-        raise NotImplementedError(
-            f"write_netcdf: dtype {grid.dtype} (int8/int16/int32 only)")
-    h, w = grid.shape
-
-    def _name(s: str) -> bytes:
-        b = s.encode()
-        return struct.pack(">i", len(b)) + b + b"\x00" * (-len(b) % 4)
-
-    def _atts(d: dict | None) -> bytes:
-        if not d:
-            return struct.pack(">ii", _ABSENT, 0)
-        out = [struct.pack(">ii", _NC_ATTRIBUTE, len(d))]
-        for k, v in d.items():
-            out.append(_name(k))
-            if isinstance(v, str):
-                b = v.encode()
-                out.append(struct.pack(">ii", 2, len(b)) + b
-                           + b"\x00" * (-len(b) % 4))
-            else:
-                vals = np.asarray(v, dtype=">i4").reshape(-1)
-                out.append(struct.pack(">ii", 4, vals.size)
-                           + vals.tobytes())
-        return b"".join(out)
-
-    dims = []
-    if record_dim:
-        dims.append(("time", 0))
-    dims.append((yname, h))
-    dims.append((xname, w))
-    ydim, xdim = len(dims) - 2, len(dims) - 1
-    dim_block = struct.pack(">ii", _NC_DIMENSION, len(dims)) + b"".join(
-        _name(n) + struct.pack(">i", ln) for n, ln in dims)
-
-    def _pad4(n: int) -> int:
-        return (n + 3) & ~3
-
-    def _pad4_bytes(b: bytes) -> bytes:
-        return b + b"\x00" * (-len(b) % 4)
-
-    ctype, csz = (5, 4) if coord_dtype == "f4" else (6, 8)
-    coords = [(yname, np.asarray(ycoord, dtype=">" + coord_dtype), ydim),
-              (xname, np.asarray(xcoord, dtype=">" + coord_dtype), xdim)]
-    gsize = _pad4(grid.size * _NC_TYPES[nc_type][1])
-    var_defs = []  # (header bytes sans begin, payload bytes, is_record)
-    for nm, vals, dd in coords:
-        hdr = (_name(nm) + struct.pack(">ii", 1, dd) + _atts(
-            {"units": "degrees_north" if dd == ydim and yname.startswith("lat")
-             else "degrees_east" if dd == xdim and xname.startswith("lon")
-             else "m"})
-            + struct.pack(">ii", ctype, _pad4(vals.size * csz)))
-        var_defs.append((hdr, _pad4_bytes(vals.tobytes()), False))
-    gdims = ([0, ydim, xdim] if record_dim else [ydim, xdim])
-    ghdr = (_name("grid") + struct.pack(">i", len(gdims))
-            + b"".join(struct.pack(">i", d) for d in gdims)
-            + _atts(grid_atts) + struct.pack(">ii", nc_type, gsize))
-    gpay = grid.astype(_NC_TYPES[nc_type][0]).tobytes()
-    gpay += b"\x00" * (-len(gpay) % 4)
-    var_defs.append((ghdr, gpay, record_dim))
-
-    # two passes: header size depends only on fixed var-def lengths
-    fixed_head = (b"CDF\x01" + struct.pack(">i", 1 if record_dim else 0)
-                  + dim_block + _atts(gatts)
-                  + struct.pack(">ii", _NC_VARIABLE, len(var_defs)))
-    hdr_len = len(fixed_head) + sum(len(h) + 4 for h, _, _ in var_defs)
-    begins, off = [], hdr_len
-    for _, pay, is_rec in var_defs:
-        begins.append(off)
-        off += len(pay)
-    body = fixed_head + b"".join(
-        h + struct.pack(">i", b) for (h, _, _), b in zip(var_defs, begins))
-    with open(path, "wb") as f:
-        f.write(body + b"".join(p for _, p, _ in var_defs))

@@ -15,6 +15,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..core.hashing import fmix64
 from .exchange import hash_exchange
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
@@ -592,34 +593,11 @@ def distinct_by_key(ds, key_col: str, value_col: str,
 # ---- HyperLogLog (Flajolet-Fuss-Gandouet-Meunier 2007) ------------------
 
 
-def _hll_partial(batch: pa.Table, value_col: str, p: int) -> pa.Table:
-    """One HLL register array per batch (2^p uint8 registers as ONE
-    binary cell): sub-KB partials regardless of batch size. NULLs are
-    dropped (count-distinct semantics, same contract as _dc_partial)."""
-    if batch[value_col].null_count:
-        batch = batch.filter(pc.is_valid(batch[value_col]))
-    vc = batch[value_col].combine_chunks() if isinstance(
-        batch[value_col], pa.ChunkedArray) else batch[value_col]
-    h = _hll_hash(vc)
-    regs = np.zeros(1 << p, dtype=np.uint8)
-    if len(h):
-        idx, rho = _hll_idx_rho(h, p)
-        np.maximum.at(regs, idx, rho)
-    return pa.table({"regs": pa.array([regs.tobytes()], type=pa.binary())})
-
-
 def _hll_hash(vc: pa.Array) -> np.ndarray:
     # FNV-1a's HIGH bits avalanche poorly (observed: rho collapses to 1
     # and the estimate craters); murmur3's fmix64 finalizer fixes the
     # bit distribution the index/rho split depends on
-    h = _fnv_vec(vc.cast(pa.string()))
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CEB9FE1A85EC53)
-        h ^= h >> np.uint64(33)
-    return h
+    return fmix64(_fnv_vec(vc.cast(pa.string())))
 
 
 def _hll_idx_rho(h: np.ndarray, p: int):
@@ -699,24 +677,6 @@ def approx_distinct_by_key(ds, key_col: str, value_col: str,
             else:
                 merged[key] = r.copy()
     return {k: _hll_estimate(r) for k, r in merged.items()}
-
-
-def approx_distinct(ds, value_col: str, p: int = 12) -> float:
-    """HyperLogLog distinct estimate (standard error ~1.04/sqrt(2^p)):
-    per-batch register partials, elementwise-max merge on the driver
-    (2^p bytes per batch — the sketch IS the shuffle), small-range
-    linear counting correction per the original paper."""
-    import functools
-
-    m = 1 << p
-    parts = ds.map_batches(
-        functools.partial(_hll_partial, value_col=value_col, p=p),
-        batch_format="pyarrow")
-    regs = np.zeros(m, dtype=np.uint8)
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for blob in b["regs"].to_pylist():
-            np.maximum(regs, np.frombuffer(blob, dtype=np.uint8), out=regs)
-    return _hll_estimate(regs)
 
 
 def _stratified_batch(batch: pa.Table, id_col: str, key_col: str,

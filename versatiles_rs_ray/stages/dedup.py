@@ -17,7 +17,6 @@ import hashlib
 
 import numpy as np
 from functools import lru_cache as functools_lru_cache
-import pandas as pd
 import pyarrow as pa
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -43,19 +42,6 @@ def dedup_exact(docs_ds):
 
 
 # ---- MinHash -----------------------------------------------------------
-
-
-def _shingle_hashes(text: str, k: int) -> np.ndarray:
-    """Rolling k-byte shingle hashes of one doc (uint64, overflow ok)."""
-    b = np.frombuffer((text or "").encode(), dtype=np.uint8).astype(np.uint64)
-    if len(b) < k:
-        b = np.pad(b, (0, k - len(b)), constant_values=0)
-    n = len(b) - k + 1
-    h = np.zeros(n, dtype=np.uint64)
-    base = np.uint64(1000003)
-    for j in range(k):
-        h = h * base + b[j : j + n]
-    return np.unique(h)
 
 
 def _packed_dup_mask(kk: np.ndarray, vv: np.ndarray) -> np.ndarray:
@@ -97,9 +83,9 @@ def _shingle_hashes_flat(texts, k: int):
 
     Returns ``(flat, starts, counts)`` where
     ``flat[starts[i] : starts[i] + counts[i]]`` is doc i's UNIQUE hash
-    set (unordered — every consumer is order-insensitive) —
-    value-identical to :func:`_shingle_hashes` per doc (same
-    polynomial, same zero-pad of short docs), with zero per-row Python.
+    set (unordered — every consumer is order-insensitive), the rolling
+    polynomial k-byte hashes with short docs zero-padded to one gram,
+    with zero per-row Python.
     Every doc yields >= 1 hash (short/empty docs hash one padded gram).
     """
     if isinstance(texts, pa.ChunkedArray):
@@ -460,40 +446,6 @@ def minhash_candidates(docs_ds, k=5, num_perm=64, bands=8, seed=42, num_partitio
     )
 
 
-class JaccardVerify:
-    """Verify candidate pairs with exact shingle-set Jaccard.
-
-    Broadcast side: dict doc_num -> text (built once per actor from a
-    ray.put handle) — the SMALL-CORPUS fast path (one object-store
-    round-trip, no exchange). The scale path is
-    :func:`jaccard_verify_exchange`, which co-partitions pairs and doc
-    shingle sets and never holds the corpus in any one actor.
-    For corpus-wide EXACT verification use ngram_jaccard_pairs below
-    (inverted-index double exchange, no broadcast anywhere).
-    """
-
-    def __init__(self, texts_ref, k=5, threshold=0.6):
-        import ray
-
-        self.texts = ray.get(texts_ref) if not isinstance(texts_ref, dict) else texts_ref
-        self.k = k
-        self.threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch["doc_a"], dtype=np.int64)
-        b = np.asarray(batch["doc_b"], dtype=np.int64)
-        jac = np.empty(len(a), dtype=np.float64)
-        for i in range(len(a)):
-            sa = _shingle_hashes(self.texts.get(int(a[i]), ""), self.k)
-            sb = _shingle_hashes(self.texts.get(int(b[i]), ""), self.k)
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            union = sa.size + sb.size - inter
-            jac[i] = inter / union if union else 1.0
-        keep = jac >= self.threshold
-        out = batch.filter(pa.array(keep))
-        return out.append_column("jaccard", pa.array(jac[keep], type=pa.float64()))
-
-
 # ---- co-partitioned Jaccard verify (scale path) ------------------------
 
 _SH_TYPE = pa.large_list(pa.int64())
@@ -542,8 +494,7 @@ def _jv_pair_rows(batch: pa.Table) -> pa.Table:
 
 def _jv_gather_text(doc_tbl: pa.Table, want: np.ndarray) -> pa.Array:
     """Gather texts for ``want`` doc ids from this partition's doc
-    rows; a missing doc behaves like empty text (parity with
-    JaccardVerify's ``texts.get(id, "")``)."""
+    rows; a missing doc behaves like empty text."""
     import pyarrow.compute as pc
 
     doc_ids = np.asarray(doc_tbl["route"], dtype=np.int64)
@@ -662,8 +613,8 @@ def jaccard_verify_exchange(pairs_ds, docs_ds, k: int = 5, threshold: float = 0.
     doc_b, attach + score). No actor ever holds more than one
     partition's docs; shuffle volume is O(corpus shingle sets + pairs),
     the same class as the LSH signature exchange that produced the
-    candidates. Output: (doc_a, doc_b, jaccard >= threshold) — the same
-    pair set as the :class:`JaccardVerify` broadcast fast path.
+    candidates. Output: (doc_a, doc_b, jaccard >= threshold); the
+    tests compare it with a broadcast-dict verify.
 
     Partitioning assumption: both exchanges use the same key hash and
     ``num_partitions``, so doc rows emitted unchanged from exchange 1
@@ -685,31 +636,6 @@ def jaccard_verify_exchange(pairs_ds, docs_ds, k: int = 5, threshold: float = 0.
         functools.partial(_jv_score, threshold=threshold, k=k),
         num_partitions=num_partitions,
     )
-
-
-def dup_groups_driver(pairs_df) -> "pd.DataFrame":
-    """Duplicate-pair components via union-find (doc -> group leader).
-
-    Driver-side: the verified-pair set is small by design (LSH prunes
-    first). Returns (doc_num, group_id) with group_id = min doc in the
-    component. For pair sets too large for the driver, use
-    :func:`propagate_min_labels_exchange`.
-    """
-    parent = {}
-
-    def find(a):
-        while parent.get(a, a) != a:
-            parent[a] = parent.get(parent[a], parent[a])
-            a = parent[a]
-        return a
-
-    for a, b in zip(pairs_df["doc_a"], pairs_df["doc_b"]):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            lo, hi = min(ra, rb), max(ra, rb)
-            parent[hi] = lo
-    docs = sorted({int(v) for v in pairs_df["doc_a"]} | {int(v) for v in pairs_df["doc_b"]})
-    return pd.DataFrame({"doc_num": docs, "group_id": [find(d) for d in docs]})
 
 
 # ---- SimHash -----------------------------------------------------------
@@ -1218,8 +1144,8 @@ def propagate_min_labels_exchange(pairs_ds, max_rounds: int = 64, num_partitions
     its labels (searchsorted — labels are sorted per partition), the
     flowed (src, label) rows split back by hash(src), and a reduce
     takes per-doc mins. The driver only ever sees P change-counts per
-    round; no broadcast label dict. Equality with the union-find
-    reference (dup_groups_driver) is pytest-verified.
+    round; no broadcast label dict. Equality with a driver-side
+    union-find is pytest-verified.
 
     Runs until a full round changes nothing (min-label propagation
     needs O(component diameter) rounds); ``max_rounds`` is a safety

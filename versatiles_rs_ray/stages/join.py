@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..core import coords
+from ..core.hashing import fmix64
 from . import topk as topk_kernel
 from .assign import pack_tkey
 
@@ -1181,22 +1182,12 @@ def hash_join(left_ds, right_ds, on: str, how: str = "inner",
 # immediately; only "possibly dropped" rows pay the exact exchange.
 
 
-def _bloom_mix(ids: np.ndarray, salt: int) -> np.ndarray:
-    h = ids.astype(np.uint64) ^ np.uint64(salt)
-    with np.errstate(over="ignore"):
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xFF51AFD7ED558CCD)
-        h ^= h >> np.uint64(33)
-        h *= np.uint64(0xC4CEB9FE1A85EC53)
-        h ^= h >> np.uint64(33)
-    return h
-
-
 def _bloom_positions(ids: np.ndarray, m_bits: int, k: int) -> np.ndarray:
     """k double-hashed bit positions per id, flattened (murmur fmix64
     mixes; h1 + i*h2 double hashing per Kirsch-Mitzenmacher)."""
-    h1 = _bloom_mix(ids, 0x9E3779B97F4A7C15)
-    h2 = _bloom_mix(ids, 0xC2B2AE3D27D4EB4F) | np.uint64(1)
+    u = ids.astype(np.uint64)
+    h1 = fmix64(u ^ np.uint64(0x9E3779B97F4A7C15))
+    h2 = fmix64(u ^ np.uint64(0xC2B2AE3D27D4EB4F)) | np.uint64(1)
     i = np.arange(k, dtype=np.uint64)[None, :]
     with np.errstate(over="ignore"):
         pos = (h1[:, None] + i * h2[:, None]) % np.uint64(m_bits)

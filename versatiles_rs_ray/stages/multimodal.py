@@ -1,16 +1,12 @@
 """Multimodal span handling: media extraction + decode plumbing.
 
 Media payloads are opaque `binary` columns with typed metadata
-(kind, media_ref). Two decode stages:
-- `MediaBytesDecoder` — REAL image decode over inline bytes via the
-  engine's own codecs (PNG/JPEG pure-stdlib, WEBP ctypes libwebp; cf.
-  the reference surface versatiles_image/src/format/all.rs:32-54);
-  audio/video bytes pass through opaque (no codecs in sandbox).
-- `FakeMediaDecoder` — deterministic stand-in for REF-only inputs
-  (media_ref points at an external store this sandbox can't reach);
-  swap its _decode for an object-store fetch + MediaBytesDecoder at
-  deploy. The Ray-side plumbing (span explosion, actor pools, batch
-  sizing, output schema) is identical and tested for both.
+(kind, media_ref). `MediaBytesDecoder` is the decode stage: REAL
+image decode over inline bytes via the engine's own codecs (PNG/JPEG
+pure-stdlib, WEBP ctypes libwebp; cf. the reference surface
+versatiles_image/src/format/all.rs:32-54); audio/video bytes pass
+through opaque (no codecs in sandbox). Inputs whose media_ref points
+at an external store need an object-store fetch in front of it.
 """
 
 from __future__ import annotations
@@ -70,51 +66,6 @@ def media_spans(docs_ds):
     )
 
 
-class FakeMediaDecoder:
-    """Actor-pool decode stage (STUB — deterministic fake decode).
-
-    Real deployments replace `_decode` with Pillow / pyav and pass the
-    object-store / fs client handle to __init__ (built once per actor,
-    like the reference's pooled GDAL instances,
-    versatiles_pipeline/src/operations/read/from_gdal/raster_source.rs:36-112).
-    The fake emits payload bytes + dimensions as a pure function of the
-    media_ref so tests are reproducible.
-    """
-
-    def __init__(self, payload_bytes: int = 64):
-        self.payload_bytes = payload_bytes
-
-    def _decode(self, media_ref: str, kind: str):
-        seed = abs(hash_stable(media_ref)) % (1 << 31)
-        rng = np.random.default_rng(seed)
-        payload = rng.integers(0, 256, size=self.payload_bytes, dtype=np.uint8).tobytes()
-        width = 16 + seed % 64 if kind == "image" else 0
-        height = 16 + (seed // 64) % 64 if kind == "image" else 0
-        return payload, width, height
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch["media_ref"].to_pylist()
-        kinds = batch["kind"].to_pylist()
-        payloads, widths, heights = [], [], []
-        for ref, kind in zip(refs, kinds):
-            p, w, h = self._decode(ref, kind)
-            payloads.append(p)
-            widths.append(w)
-            heights.append(h)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "span_idx": batch["span_idx"],
-                "kind": batch["kind"],
-                "media_ref": batch["media_ref"],
-                "payload": pa.array(payloads, type=pa.binary()),
-                "width": pa.array(widths, type=pa.int64()),
-                "height": pa.array(heights, type=pa.int64()),
-                "n_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
-            }
-        )
-
-
 class MediaBytesDecoder:
     """Actor-pool decode stage over INLINE media bytes — REAL decode.
 
@@ -126,9 +77,7 @@ class MediaBytesDecoder:
     core/bmp) to rgba-raw + dimensions. Rows whose bytes don't match
     a known magic, or whose payload is corrupt/truncated, pass
     through with width=height=0 and the original payload (audio/video
-    stay opaque until their codecs are bound). Same output schema as
-    FakeMediaDecoder, so downstream resize/feature stages compose
-    unchanged.
+    stay opaque until their codecs are bound).
     """
 
     def __init__(self):

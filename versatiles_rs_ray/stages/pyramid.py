@@ -233,25 +233,19 @@ def aggregate_pyramid_spatial_fused(specs, load_fn, z_base: int, z_min: int = 0,
     (sources/docs.shard_specs, or Lance/parquet fragment lists);
     ``load_fn(spec)`` returns docs with lon/lat.
 
-    The specs become a docs Dataset with one read task per spec — the
-    shape of read_docs' replica shards — then AssignTiles(z_base) and
-    the Dataset-fed exchange. Why not split inside each spec's read
-    task (a map-side shuffle write): on the one-core ``pyramid``
-    benchmark that was no faster and held ~1.8x the driver's peak RSS,
-    because its specs x partitions split slices are each small enough
-    that Ray returns them inline to their owner, the driver.
+    The specs become a docs Dataset through sources/docs.read_specs
+    (one read task per spec), then AssignTiles(z_base) and the
+    Dataset-fed exchange. Why not split inside each spec's read task
+    (a map-side shuffle write): on the one-core ``pyramid`` benchmark
+    that was no faster and held ~1.8x the driver's peak RSS, because
+    its specs x partitions split slices are each small enough that Ray
+    returns them inline to their owner, the driver.
     """
-    import ray.data as rd
-
+    from ..sources.docs import read_specs
     from .assign import assign_tiles
 
-    def load(batch: pa.Table, _specs=specs) -> pa.Table:
-        return pa.concat_tables([load_fn(_specs[i]) for i in batch["id"].to_pylist()])
-
-    docs = rd.range(len(specs), override_num_blocks=len(specs)).map_batches(
-        load, batch_format="pyarrow")
-    return aggregate_pyramid_spatial(assign_tiles(docs, z_base), z_base, z_min,
-                                     split_level, num_buckets)
+    return aggregate_pyramid_spatial(assign_tiles(read_specs(specs, load_fn), z_base),
+                                     z_base, z_min, split_level, num_buckets)
 
 
 # ---- tile payload materialization --------------------------------------

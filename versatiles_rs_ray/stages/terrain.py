@@ -84,13 +84,6 @@ def terrarium_encode(elev: np.ndarray) -> np.ndarray:
     return out
 
 
-def terrarium_decode(rgb: np.ndarray) -> np.ndarray:
-    r = rgb[..., 0].astype(np.float64)
-    g = rgb[..., 1].astype(np.float64)
-    b = rgb[..., 2].astype(np.float64)
-    return (r * 256.0 + g + b / 256.0) - 32768.0
-
-
 def mapbox_encode(elev: np.ndarray) -> np.ndarray:
     """Elevation -> (H, W, 3) uint8 Mapbox terrain-RGB (0.1 m steps,
     offset -10000)."""
@@ -101,13 +94,6 @@ def mapbox_encode(elev: np.ndarray) -> np.ndarray:
     out[..., 1] = (v >> 8) & 0xFF
     out[..., 2] = v & 0xFF
     return out
-
-
-def mapbox_decode(rgb: np.ndarray) -> np.ndarray:
-    v = (rgb[..., 0].astype(np.float64) * 65536.0
-         + rgb[..., 1].astype(np.float64) * 256.0
-         + rgb[..., 2].astype(np.float64))
-    return -10000.0 + v * 0.1
 
 
 _MODES = ("hillshade", "slope", "terrarium", "mapbox")

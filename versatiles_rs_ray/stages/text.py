@@ -167,31 +167,13 @@ class LangId:
         )
 
 
-def _doc_fingerprint(data: bytes) -> int:
-    """Winnowed rolling-hash fingerprint of one document.
-
-    k-byte rolling hashes (mod 2^64 via uint64 overflow) reduced with
-    min — a content fingerprint stable under reordering-free edits.
-    Vectorized: the rolling hash is computed with _FP_K shifted adds
-    over the whole byte array at once.
-    """
-    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-    if len(b) < _FP_K:
-        b = np.pad(b, (0, _FP_K - len(b)), constant_values=0)
-    n = len(b) - _FP_K + 1
-    h = np.zeros(n, dtype=np.uint64)
-    for j in range(_FP_K):
-        h = h * _FP_BASE + b[j : j + n]
-    return int(h.min())
-
-
 def fingerprint_batch(batch: pa.Table) -> pa.Table:
     """Winnowed min-rolling-hash per doc, vectorized ACROSS docs: one
     (windows x K) zero-padded gather over the batch's concatenated
     bytes (the _shingle_rows pattern, stages/dedup.py), K shifted
     multiply-adds over every window of every doc at once, one
-    minimum.reduceat. Bit-identical to _doc_fingerprint (kept as the
-    single-doc reference kernel; equality is pytest-pinned)."""
+    minimum.reduceat. Bit-identical to the per-doc rolling-hash min
+    (pytest-pinned against a single-doc reference)."""
     texts = batch["text"]
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
