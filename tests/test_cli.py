@@ -2,6 +2,7 @@
 subprocesses (each owns its own Ray session)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -269,7 +270,8 @@ def test_cli_corpus_dedup_near_uses_col(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "versatiles_rs_ray", "--num-cpus", "4", "corpus", "dedup",
          src, str(tmp_path / "o1"), "--mode", "near", "--col", "body"],
-        capture_output=True, text=True, cwd="/root/repo", timeout=240)
+        capture_output=True, text=True, timeout=240,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert r.returncode != 0 and "reserves column 'text'" in r.stderr
 
     src = str(tmp_path / "body_only.parquet")
