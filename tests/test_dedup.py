@@ -653,6 +653,13 @@ def test_remove_duplicate_spans_overlapping(ray_session):
     assert out["text"].iloc[0] == text[:2] + text[20:]
     assert out["n_spans"].iloc[0] == 2
     assert out["n_removed"].iloc[0] == 18
+    # the partition combine alone, fed one table per input
+    docs = pa.table({"doc": pa.array([7], type=pa.int64()),
+                     "text": pa.array([text], type=pa.string())})
+    got = _rds_combine(docs, spans, "doc_num", "text").to_pylist()
+    assert got == [{"doc_num": 7, "text": text[:2] + text[20:],
+                    "n_spans": 2, "n_removed": 18}]
+    assert _rds_combine(docs.slice(0, 0), spans, "doc_num", "text").num_rows == 0
 
 
 def test_remove_duplicate_spans_matches_reference_corpus(ray_session, sf_dir):

@@ -12,6 +12,7 @@ docstrings never count as references. A name only tests use belongs in
 ``tests/`` (see ``tests/oracles.py``), or is deleted.
 """
 
+import ast
 import dis
 import os
 import re
@@ -112,3 +113,58 @@ def test_every_engine_name_has_a_production_caller():
         f"to tests/ (oracles, fixture writers) or delete it")
     stale = sorted(set(ALLOWED) - unreferenced)
     assert not stale, f"allowlisted but now called or gone, drop the entry: {stale}"
+
+
+# co-groups handed to hash_exchange as one union: "module.function" -> why
+UNION_FED = {
+    "stages.cluster.within_join": "its pair kernel also serves the one-input "
+                                  "eps_pairs self-join, so both keep one side-tagged layout",
+    "stages.dedup.jaccard_verify_exchange": "doc rows ride through exchange 1 into "
+                                            "exchange 2; separate inputs would run docs_ds twice",
+}
+
+
+def _is_union(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "union")
+
+
+def _union_fed_exchanges(tree, dotted: str):
+    """"module.function" of each hash_exchange call whose input is a
+    ``.union(...)`` expression, or a name the same function assigned one."""
+    found = set()
+    for fn in tree.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        unions = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                  and _is_union(n.value) for t in n.targets if isinstance(t, ast.Name)}
+        for n in ast.walk(fn):
+            if not (isinstance(n, ast.Call) and n.args and "hash_exchange" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))):
+                continue
+            arg = n.args[0]
+            if _is_union(arg) or (isinstance(arg, ast.Name) and arg.id in unions):
+                found.add(f"{dotted}.{fn.name}")
+    return found
+
+
+def test_no_union_fed_exchange():
+    """Inputs that share a partition go to hash_exchange as a list of
+    Datasets (one table each in the combine), not as one union padded
+    to a shared schema and tagged by side."""
+    found = set()
+    for d, _, files in os.walk(os.path.join(ROOT, PKG)):
+        for f in files:
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                rel = os.path.relpath(path, ROOT)
+                with open(path) as fh:
+                    src = fh.read()
+                if "hash_exchange" in src:
+                    found |= _union_fed_exchanges(ast.parse(src, path),
+                                                  rel[len(PKG) + 1:-3].replace(os.sep, "."))
+    assert not sorted(found - set(UNION_FED)), (
+        f"union-fed hash_exchange: {sorted(found - set(UNION_FED))}; pass the "
+        "inputs as a list instead")
+    stale = sorted(set(UNION_FED) - found)
+    assert not stale, f"allowlisted but no longer union-fed, drop the entry: {stale}"

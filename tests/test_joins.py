@@ -348,6 +348,18 @@ def test_hash_join_string_keys_and_validation(ray_session):
         join.hash_join(left, left, "k")
     with pytest.raises(ValueError, match="one of"):
         join.hash_join(left, right, "k", how="full")
+    # key kinds that differ across sides fail on the driver, naming both
+    ints = rd.from_arrow(pa.table({"k": pa.array([1, 2], type=pa.int64()),
+                                   "iv": pa.array([1, 2])}))
+    with pytest.raises(ValueError, match="int64 on the left and string"):
+        join.hash_join(ints, right, "k")
+    with pytest.raises(ValueError, match="string on the left and int64"):
+        join.hash_join(left, ints, "k")
+    # integer widths may differ: keys meet as int64
+    narrow = rd.from_arrow(pa.table({"k": pa.array([2, 3], type=pa.int32()),
+                                     "nv": pa.array([5, 6])}))
+    out = join.hash_join(ints, narrow, "k", num_partitions=2).to_pandas()
+    assert out[["k", "iv", "nv"]].values.tolist() == [[2, 2, 5]]
 
 
 # ---- Bloom runtime filter (anti_join_ids) ----------------------------------

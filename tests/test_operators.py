@@ -385,6 +385,7 @@ def test_hopping_window_validation(ray_session):
 def test_exchange_edge_cases(ray_session):
     import numpy as np
     import pyarrow as pa
+    import pytest
     import ray
     import ray.data as rd
 
@@ -437,6 +438,81 @@ def test_exchange_edge_cases(ray_session):
     out, aux = hash_exchange(many, "k", _sum_v_by_k, num_partitions=8, aux_fn=ident)
     assert sums(out) == want and len(aux) == 8
     assert sums(rd.from_arrow(ray.get(aux))) == want
+
+    # a populated block without the key column is an error, not lost rows;
+    # 0-row and schema-less blocks still pass
+    good = pa.table({"k": pa.array([1, 2, 3], type=pa.int64())})
+    bad = pa.table({"x": pa.array([4, 5], type=pa.int64())})
+    with pytest.raises(ValueError, match=r"'k' missing .*\['x'\]"):
+        ex._split_block("k", 2, good, bad)
+    with pytest.raises(ValueError, match="'k' missing"):
+        ex._split_block("k", 2, bad)
+    parts = ex._split_block("k", 2, good, bad.slice(0, 0), pa.table({}))
+    assert sum(p.num_rows for p in parts) == 3
+    with pytest.raises(ValueError, match="num_partitions"):
+        hash_exchange(one, "k", ident, num_partitions=1)
+
+    # co-groups: one table per input, in argument order, own columns only
+    left = rd.from_arrow([
+        pa.table({"k": pa.array([i % 5], type=pa.int64()),
+                  "a": pa.array([i], type=pa.int64())})
+        for i in range(20)
+    ])
+    right = rd.from_arrow(pa.table({"k": pa.array(range(3, 8), type=pa.int64()),
+                                    "b": pa.array(["x"] * 5)}))
+
+    def _pair_sums(lt, rt):
+        assert lt.column_names == ["k", "a"] and rt.column_names == ["k", "b"]
+        keys = np.union1d(np.asarray(lt["k"], dtype=np.int64),
+                          np.asarray(rt["k"], dtype=np.int64))
+        lk = np.asarray(lt["k"], dtype=np.int64)
+        return pa.table({
+            "k": pa.array(keys, type=pa.int64()),
+            "a": pa.array([int(np.asarray(lt["a"])[lk == k].sum()) for k in keys],
+                          type=pa.int64()),
+            "nb": pa.array([int((np.asarray(rt["k"]) == k).sum()) for k in keys],
+                           type=pa.int64()),
+        })
+
+    want2 = {k: (sum(i for i in range(20) if i % 5 == k), int(3 <= k < 8))
+             for k in range(8)}
+
+    def pair_sums(ds):
+        df = ds.to_pandas()
+        return {k: (a, nb) for k, a, nb in zip(df["k"], df["a"], df["nb"])}
+
+    assert pair_sums(hash_exchange([left, right], "k", _pair_sums,
+                                   num_partitions=4)) == want2
+    out, aux = hash_exchange([left, right], "k", _pair_sums, num_partitions=4,
+                             aux_fn=ident)
+    assert pair_sums(out) == want2 and len(aux) == 4
+    assert pair_sums(rd.from_arrow(ray.get(aux))) == want2
+
+    # an empty limit(0) input arrives as 0-row tables with its schema
+    want_empty = {k: (a, 0) for k, (a, _) in want2.items() if k < 5}
+    assert pair_sums(hash_exchange([left, right.limit(0)], "k", _pair_sums,
+                                   num_partitions=4)) == want_empty
+    out, aux = hash_exchange([left, right.limit(0)], "k", _pair_sums,
+                             num_partitions=4, aux_fn=ident)
+    assert pair_sums(out) == want_empty and len(aux) == 4
+    # every input empty: the combine runs once on the 0-row tables
+    out, aux = hash_exchange([left.limit(0), right.limit(0)], "k", _pair_sums,
+                             num_partitions=4, aux_fn=ident)
+    assert out.count() == 0 and out.schema().names == ["k", "a", "nb"] and aux == []
+
+    # three inputs reach the combine in argument order
+    def _order(*ts):
+        return pa.table({"k": pa.array([0], type=pa.int64()),
+                         "sig": pa.array(["|".join(",".join(t.column_names)
+                                                   for t in ts)])})
+
+    third = rd.from_arrow(pa.table({"k": pa.array([1], type=pa.int64()),
+                                    "c": pa.array([1.5])}))
+    for aux_fn in (None, ident):
+        res = hash_exchange([right, third, left], "k", _order,
+                            num_partitions=2, aux_fn=aux_fn)
+        ds = res if aux_fn is None else res[0]
+        assert set(ds.to_pandas()["sig"]) == {"k,b|k,c|k,a"}
 
 
 def test_topk_per_key_ties_and_prune(ray_session):

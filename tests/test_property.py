@@ -244,21 +244,21 @@ def test_asof_combine_matches_pandas_merge_asof(left, right, direction):
 
     # contract: right side unique per (by, on)
     right = sorted(set(right))
-    n_l, n_r = len(left), len(right)
-    tbl = pa.table({
-        "route": pa.array([b for b, _ in left] + [b for b, _ in right],
-                          type=pa.int64()),
-        "__on": pa.array([t for _, t in left] + [t for _, t in right],
-                         type=pa.int64()),
-        "__side": pa.array([0] * n_l + [1] * n_r, type=pa.int64()),
-        "lid": pa.array(list(range(n_l)) + [None] * n_r, type=pa.int64()),
-        "lk": pa.array([b for b, _ in left] + [None] * n_r, type=pa.int64()),
-        "lt": pa.array([t for _, t in left] + [None] * n_r, type=pa.int64()),
-        "rv": pa.array([None] * n_l + [t * 10 + b for b, t in right],
-                       type=pa.int64()),
+    n_l = len(left)
+    ltbl = pa.table({
+        "lid": pa.array(range(n_l), type=pa.int64()),
+        "lk": pa.array([b for b, _ in left], type=pa.int64()),
+        "lt": pa.array([t for _, t in left], type=pa.int64()),
     })
-    got = _asof_combine(tbl, ("lid", "lk", "lt"), ("rv",), direction
+    rtbl = pa.table({
+        "lk": pa.array([b for b, _ in right], type=pa.int64()),
+        "rt": pa.array([t for _, t in right], type=pa.int64()),
+        "rv": pa.array([t * 10 + b for b, t in right], type=pa.int64()),
+    })
+    empties = (ltbl.slice(0, 0), rtbl.slice(0, 0))
+    got = _asof_combine(ltbl, rtbl, empties, "lk", "lt", "rt", direction
                         ).to_pandas().sort_values("lid").reset_index(drop=True)
+    assert list(got.columns) == ["lid", "lk", "lt", "rv"]
     import numpy as np
 
     ldf = pd.DataFrame({"lk": np.array([b for b, _ in left], np.int64),
@@ -290,24 +290,25 @@ def test_rj_combine_matches_bruteforce(intervals, points):
 
     from versatiles_rs_ray.stages.join import _rj_combine
 
-    n_i, n_p = len(intervals), len(points)
-    tbl = pa.table({
-        "route": pa.array([k for k, _, _ in intervals] +
-                          [k for k, _, _ in points], type=pa.int64()),
-        "__lo": pa.array([lo for _, lo, _ in intervals] +
-                         [at for _, at, _ in points], type=pa.int64()),
-        "__hi": pa.array([lo + w for _, lo, w in intervals] +
-                         [at for _, at, _ in points], type=pa.int64()),
-        "__cents": pa.array([0] * n_i + [c for _, _, c in points],
-                            type=pa.int64()),
-        "__side": pa.array([0] * n_i + [1] * n_p, type=pa.int64()),
-        "iid": pa.array(list(range(n_i)) + [None] * n_p, type=pa.int64()),
+    itbl = pa.table({
+        "iid": pa.array(range(len(intervals)), type=pa.int64()),
+        "k": pa.array([k for k, _, _ in intervals], type=pa.int64()),
+        "lo": pa.array([lo for _, lo, _ in intervals], type=pa.int64()),
+        "hi": pa.array([lo + w for _, lo, w in intervals], type=pa.int64()),
     })
-    got = _rj_combine(tbl, ("iid",), "n", "s").to_pandas() \
-        .sort_values("iid").reset_index(drop=True)
+    # float values; the brute force applies the same floor(value * 100)
+    ptbl = pa.table({
+        "k": pa.array([k for k, _, _ in points], type=pa.int64()),
+        "at": pa.array([at for _, at, _ in points], type=pa.int64()),
+        "v": pa.array([c / 100 for _, _, c in points], type=pa.float64()),
+    })
+    empties = (itbl.slice(0, 0), ptbl.slice(0, 0))
+    got = _rj_combine(itbl, ptbl, empties, "k", "lo", "hi", "at", "v", "n", "s") \
+        .to_pandas().sort_values("iid").reset_index(drop=True)
     for idx, (k, lo, w) in enumerate(intervals):
         hi = lo + w
-        hits = [(c,) for pk, at, c in points if pk == k and lo <= at <= hi]
+        hits = [(int(np.floor(c / 100 * 100.0)),) for pk, at, c in points
+                if pk == k and lo <= at <= hi]
         assert got.loc[idx, "n"] == len(hits), (idx, k, lo, hi)
         assert got.loc[idx, "s"] == sum(c for (c,) in hits)
 
@@ -326,15 +327,12 @@ def test_hj_combine_matches_pandas(left, right, join_type):
 
     from versatiles_rs_ray.stages.join import _hj_combine
 
-    n_l, n_r = len(left), len(right)
-    tbl = pa.table({
-        "__side": pa.array([0] * n_l + [1] * n_r, type=pa.int64()),
-        "k": pa.array([k for k, _ in left] + [k for k, _ in right],
-                      type=pa.int64()),
-        "lv": pa.array([v for _, v in left] + [None] * n_r, type=pa.int64()),
-        "rv": pa.array([None] * n_l + [v for _, v in right], type=pa.int64()),
-    })
-    got = _hj_combine(tbl, "k", ("lv",), ("rv",), join_type).to_pandas()
+    ltbl = pa.table({"k": pa.array([k for k, _ in left], type=pa.int64()),
+                     "lv": pa.array([v for _, v in left], type=pa.int64())})
+    rtbl = pa.table({"k": pa.array([k for k, _ in right], type=pa.int64()),
+                     "rv": pa.array([v for _, v in right], type=pa.int64())})
+    got = _hj_combine(ltbl, rtbl, (ltbl.slice(0, 0), rtbl.slice(0, 0)), "k",
+                      join_type).to_pandas()
     ldf = pd.DataFrame({"k": [k for k, _ in left], "lv": [v for _, v in left]})
     rdf = pd.DataFrame({"k": [k for k, _ in right], "rv": [v for _, v in right]})
     if join_type == "inner":

@@ -467,6 +467,21 @@ def test_mov_hand_packed_fixture():
     assert abs(int(b[4, 4, 2]) - 150) <= 4 and int(b[4, 4, 0]) <= 8
 
 
+def test_mov_entry_count_overruns_box():
+    """A sample-table entry count that runs past the end of its own box
+    must raise, not read the next box's bytes as entries: here stts
+    claims a second (count, delta) run that would be stsc's header,
+    i.e. garbage timestamps for frames 1 and 2."""
+    from versatiles_rs_ray.core.mov import encode_mov, parse_mov
+
+    data = bytearray(encode_mov(_frames(3), fps=10))
+    i = data.find(b"stts")
+    # FullBox payload: version/flags, entry count, then (count, delta) runs
+    struct.pack_into(">II", data, i + 8, 2, 1)
+    with pytest.raises(ValueError, match="stts claims 2 entries"):
+        parse_mov(bytes(data))
+
+
 def test_mov_codec_gate():
     """A compressed-codec track (avc1) must raise naming the codec."""
     from versatiles_rs_ray.core.mov import encode_mov, parse_mov

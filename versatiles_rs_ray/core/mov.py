@@ -141,14 +141,22 @@ def _parse_trak(data: bytes, tb: int, te: int) -> MovInfo:
     width, height = struct.unpack_from(">HH", data, p + 4 + 32)
 
     def table(cc):
+        """(payload start, box end) of sample-table box ``cc``."""
         t = _find(data, *stbl, cc)
         if t is None:
-            return None
+            return None, None
         _, q = _full(data, t[0])
-        return q
+        return q, t[1]
+
+    def fits(cc, start, count, size, end):
+        """Entries must end inside their own box, not read a neighbour's."""
+        if start + count * size > end:
+            raise ValueError(
+                f"ISO-BMFF: {cc.decode('latin1')} claims {count} entries "
+                f"of {size} bytes, past the end of its box")
 
     # stsz: fixed size or per-sample table
-    q = table(b"stsz")
+    q, end = table(b"stsz")
     if q is None:
         raise ValueError("stbl without stsz")
     fixed, count = struct.unpack_from(">II", data, q)
@@ -157,28 +165,31 @@ def _parse_trak(data: bytes, tb: int, te: int) -> MovInfo:
     if fixed:
         sizes = np.full(count, fixed, dtype=np.int64)
     else:
+        fits(b"stsz", q + 8, count, 4, end)
         sizes = np.frombuffer(
             data, dtype=">u4", count=count, offset=q + 8
         ).astype(np.int64)
 
     # chunk offsets: stco (32-bit) or co64
-    q = table(b"stco")
+    q, end = table(b"stco")
     wide = False
     if q is None:
-        q = table(b"co64")
+        q, end = table(b"co64")
         wide = True
     if q is None:
         raise ValueError("stbl without stco/co64")
     n_chunks = struct.unpack_from(">I", data, q)[0]
+    fits(b"co64" if wide else b"stco", q + 4, n_chunks, 8 if wide else 4, end)
     dt = ">u8" if wide else ">u4"
     chunk_off = np.frombuffer(
         data, dtype=dt, count=n_chunks, offset=q + 4).astype(np.int64)
 
     # stsc: runs of (first_chunk, samples_per_chunk)
-    q = table(b"stsc")
+    q, end = table(b"stsc")
     if q is None:
         raise ValueError("stbl without stsc")
     n_runs = struct.unpack_from(">I", data, q)[0]
+    fits(b"stsc", q + 4, n_runs, 12, end)
     runs = [struct.unpack_from(">III", data, q + 4 + 12 * i)[:2]
             for i in range(n_runs)]
     # expand runs -> samples-per-chunk for every chunk
@@ -202,10 +213,11 @@ def _parse_trak(data: bytes, tb: int, te: int) -> MovInfo:
             f"ISO-BMFF: sample table inconsistent ({s} placed of {count})")
 
     # stts -> decode time per sample
-    q = table(b"stts")
+    q, end = table(b"stts")
     if q is None:
         raise ValueError("stbl without stts")
     n_tt = struct.unpack_from(">I", data, q)[0]
+    fits(b"stts", q + 4, n_tt, 8, end)
     times = np.zeros(count, dtype=np.int64)
     t = 0
     s = 0

@@ -355,7 +355,13 @@ def within_join(left_ds, right_ds, eps: float, num_partitions: int = 32,
     kernel — no broadcast side, no all-pairs, shuffle volume
     |left| + 9|right| + realized pairs. Put the SMALLER table on the
     right. The distance test is the engine's standard three IEEE
-    float64 ops (exact SQL mirror); boundary is inclusive (<=)."""
+    float64 ops (exact SQL mirror); boundary is inclusive (<=).
+
+    The two inputs are a side-tagged union (side=1 home rows, side=0
+    candidates, one shared schema) on purpose, unlike the engine's
+    other co-groups: the pair kernel also serves the one-input
+    ``eps_pairs`` self-join, where a home row doubles as a candidate,
+    so both shapes keep one table layout."""
     from .exchange import hash_exchange
 
     if not (eps > 0):

@@ -619,6 +619,12 @@ def jaccard_verify_exchange(pairs_ds, docs_ds, k: int = 5, threshold: float = 0.
     Partitioning assumption: both exchanges use the same key hash and
     ``num_partitions``, so doc rows emitted unchanged from exchange 1
     land in their own partition again in exchange 2.
+
+    Pair and doc rows share one schema (a null ``doc_a`` marks a doc
+    row) on purpose, unlike the engine's other co-groups: the doc rows
+    ride through exchange 1's output into exchange 2, so handing
+    ``hash_exchange`` the two inputs separately would run ``docs_ds``
+    twice.
     """
     import functools
 
@@ -1416,47 +1422,25 @@ def duplicate_spans(ds, k: int = 24, stride: int = 1,
                          num_partitions=max(2, num_partitions // 2))
 
 
-def _rds_tag_docs(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
-    ids = batch[id_col].cast(pa.int64())
-    txt = batch[text_col].cast(pa.string())
-    n = batch.num_rows
-    neg = pa.array(np.full(n, -1, dtype=np.int64))
-    return pa.table({"doc": ids, "text": txt, "span_start": neg,
-                     "span_end": neg,
-                     "__side": pa.array(np.zeros(n, dtype=np.int8))})
+def _rds_doc_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    return pa.table({"doc": batch[id_col].cast(pa.int64()),
+                     "text": batch[text_col].cast(pa.string())})
 
 
-def _rds_tag_spans(batch: pa.Table) -> pa.Table:
-    n = batch.num_rows
-    return pa.table({
-        "doc": batch["doc"].cast(pa.int64()),
-        "text": pa.array([None] * n, type=pa.string()),
-        "span_start": batch["span_start"].cast(pa.int64()),
-        "span_end": batch["span_end"].cast(pa.int64()),
-        "__side": pa.array(np.ones(n, dtype=np.int8)),
-    })
-
-
-def _rds_combine(tbl: pa.Table, id_col: str, text_col: str) -> pa.Table:
-    """Partition combine: splice every doc's [start, end) spans out of
-    its text in ONE vectorized pass over the partition's concatenated
+def _rds_combine(docs: pa.Table, spans: pa.Table, id_col: str,
+                 text_col: str) -> pa.Table:
+    """Partition combine over (doc, text) rows and (doc, span_start,
+    span_end) rows: splice every doc's [start, end) spans out of its
+    text in ONE vectorized pass over the partition's concatenated
     bytes (range-diff + cumsum coverage mask, then a boolean gather;
     no per-doc Python)."""
-    empty = pa.table({
-        id_col: pa.array([], type=pa.int64()),
-        text_col: pa.array([], type=pa.string()),
-        "n_spans": pa.array([], type=pa.int64()),
-        "n_removed": pa.array([], type=pa.int64()),
-    })
-    if tbl.num_rows == 0 or "__side" not in tbl.column_names:
-        return empty
-    import pyarrow.compute as pc
-
-    side = tbl["__side"]
-    docs = tbl.filter(pc.equal(side, 0))
-    spans = tbl.filter(pc.equal(side, 1))
     if docs.num_rows == 0:
-        return empty
+        return pa.table({
+            id_col: pa.array([], type=pa.int64()),
+            text_col: pa.array([], type=pa.string()),
+            "n_spans": pa.array([], type=pa.int64()),
+            "n_removed": pa.array([], type=pa.int64()),
+        })
     ids = np.asarray(docs["doc"], dtype=np.int64)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
@@ -1514,9 +1498,9 @@ def remove_duplicate_spans(ds, k: int = 24, stride: int = 1,
 
     Shape: the span table (computed here, or supplied via ``spans_ds``
     when the caller already ran detection) and the doc text
-    co-partition by doc id through ONE hash exchange; each partition
+    co-group on doc id through ONE hash exchange; each partition
     splices with a vectorized coverage mask over its concatenated
-    bytes. No broadcast, no driver gather — both sides stream.
+    bytes. No broadcast, no driver gather — both inputs stream.
     Output: (id_col, text_col cleaned, n_spans, n_removed).
     """
     import functools
@@ -1527,12 +1511,12 @@ def remove_duplicate_spans(ds, k: int = 24, stride: int = 1,
         spans_ds = duplicate_spans(ds, k=k, stride=stride, id_col=id_col,
                                    text_col=text_col,
                                    num_partitions=num_partitions)
-    left = ds.map_batches(
-        functools.partial(_rds_tag_docs, id_col=id_col, text_col=text_col),
+    docs = ds.map_batches(
+        functools.partial(_rds_doc_rows, id_col=id_col, text_col=text_col),
         batch_format="pyarrow")
-    right = spans_ds.map_batches(_rds_tag_spans, batch_format="pyarrow")
     return hash_exchange(
-        left.union(right), "doc",
+        [docs, spans_ds.select_columns(["doc", "span_start", "span_end"])],
+        "doc",
         functools.partial(_rds_combine, id_col=id_col, text_col=text_col),
         num_partitions=num_partitions)
 

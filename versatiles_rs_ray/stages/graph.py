@@ -18,8 +18,8 @@ Shape (the classic MapReduce triangle count, Suri & Vassilvitskii
    graphs (cap = skip wedges whose mid degree exceeds a bound, as the
    dedup LSH stages cap hot buckets — proximity graphs bound degree
    geometrically, so the default leaves it off).
-2. closure: wedges and (deduplicated, min-first) edges route by the
-   engine's pair hash on the wedge's endpoints {a, c}; each partition
+2. closure: wedges and (deduplicated, min-first) edges co-group by
+   the engine's pair hash on the wedge's endpoints {a, c}; each partition
    matches EXACT (lo, hi) id pairs (np.unique row-dictionary — the
    hash only routes, collisions cannot close a wedge). A wedge closes
    iff the edge {a, c} exists; each triangle closes exactly 2 wedges
@@ -43,21 +43,20 @@ def _empty_counts() -> pa.Table:
                      "cnt": pa.array([], type=pa.int64())})
 
 
-def _closure_combine(table: pa.Table) -> pa.Table:
+def _closure_combine(wedges: pa.Table, edges: pa.Table) -> pa.Table:
     """Per pair-routed partition: match wedge endpoint pairs against
     the edge set exactly, count closed wedges per wedge-source a."""
-    if table.num_rows == 0:
+    if wedges.num_rows == 0 or edges.num_rows == 0:
         return _empty_counts()
-    side = np.asarray(table["side"], dtype=np.int8)
-    lo = np.asarray(table["lo"], dtype=np.int64)
-    hi = np.asarray(table["hi"], dtype=np.int64)
-    a = np.asarray(table["a"], dtype=np.int64)
-    rows = np.stack([lo, hi], axis=1)
-    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
-    edge_ids = np.unique(inv[side == 0])
-    w = side == 1
-    closed = np.isin(inv[w], edge_ids)
-    src = a[w][closed]
+    n_w = wedges.num_rows
+    rows = np.stack([
+        np.concatenate([np.asarray(t[c], dtype=np.int64)
+                        for t in (wedges, edges)])
+        for c in ("lo", "hi")], axis=1)
+    _, inv = np.unique(rows, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    closed = np.isin(inv[:n_w], inv[n_w:])
+    src = np.asarray(wedges["a"], dtype=np.int64)[closed]
     if not len(src):
         return _empty_counts()
     u, c = np.unique(src, return_counts=True)
@@ -185,7 +184,6 @@ def triangle_stats(pairs_ds, num_partitions: int = 32,
         hi = np.maximum(av, cv)
         return pa.table({
             "pk": pa.array(_pair_route(lo, hi), type=pa.int64()),
-            "side": pa.array(np.ones(len(av), dtype=np.int8)),
             "lo": pa.array(lo, type=pa.int64()),
             "hi": pa.array(hi, type=pa.int64()),
             "a": pa.array(av, type=pa.int64()),
@@ -198,16 +196,14 @@ def triangle_stats(pairs_ds, num_partitions: int = 32,
         av, bv = av[keep], bv[keep]
         return pa.table({
             "pk": pa.array(_pair_route(av, bv), type=pa.int64()),
-            "side": pa.array(np.zeros(len(av), dtype=np.int8)),
             "lo": pa.array(av, type=pa.int64()),
             "hi": pa.array(bv, type=pa.int64()),
-            "a": pa.array(np.zeros(len(av), dtype=np.int64)),
         })
 
-    tagged = wedges.map_batches(wedge_rows, batch_format="pyarrow").union(
-        wpairs.map_batches(edge_rows, batch_format="pyarrow"))
-    partials = hash_exchange(tagged, "pk", _closure_combine,
-                             num_partitions=num_partitions)
+    partials = hash_exchange(
+        [wedges.map_batches(wedge_rows, batch_format="pyarrow"),
+         wpairs.map_batches(edge_rows, batch_format="pyarrow")],
+        "pk", _closure_combine, num_partitions=num_partitions)
     counts = hash_exchange(partials, "doc_num", _sum_counts,
                            num_partitions=num_partitions)
     out = hash_join(deg, counts, on="doc_num", how="left",

@@ -12,6 +12,11 @@ Design for 100 TB:
 - edge semantics are half-open in mercator-fraction space
   ([mx0, mx1) x [my0, my1)) so every point matches exactly one cell of
   a tiling — consistent with tile assignment (`floor(mx * 2^z)`).
+- the large x large shapes (grouped kNN, bucketed rect and polygon
+  joins, as-of, range, anti and hash joins) co-group their inputs in
+  ONE `hash_exchange` call that hands each partition's combine one
+  table per input; no row carries a side tag or the other input's
+  columns.
 """
 
 from __future__ import annotations
@@ -238,8 +243,8 @@ def knn_join(docs_ds, q_ids, q_lon, q_lat, k: int, exclude_self=True,
 # ---- grouped kNN: the large-Q scale path (SURVEY.md §7.3) --------------
 
 
-def _tag_side(batch: pa.Table, zoom: int, side: int) -> pa.Table:
-    """Query side: one row per query keyed by its OWN tile at zoom."""
+def _query_rows(batch: pa.Table, zoom: int) -> pa.Table:
+    """Query input: one row per query keyed by its OWN tile at zoom."""
     lon = np.asarray(batch["lon"], dtype=np.float64)
     lat = np.asarray(batch["lat"], dtype=np.float64)
     x, y = coords.lonlat_to_tile(lon, lat, zoom)
@@ -247,7 +252,6 @@ def _tag_side(batch: pa.Table, zoom: int, side: int) -> pa.Table:
     return pa.table(
         {
             "tkey": pa.array(tkey, type=pa.int64()),
-            "side": pa.array(np.full(len(x), side, dtype=np.int8)),
             "doc_num": batch["doc_num"].cast(pa.int64()),
             "lon": pa.array(lon),
             "lat": pa.array(lat),
@@ -256,7 +260,7 @@ def _tag_side(batch: pa.Table, zoom: int, side: int) -> pa.Table:
 
 
 def _replicate_3x3(batch: pa.Table, zoom: int) -> pa.Table:
-    """Candidate side: replicate each point to its tile AND the (up to
+    """Candidate input: replicate each point to its tile AND the (up to
     8) in-range neighbors, so every query tile's partition holds the
     full 3x3 candidate window. Out-of-range neighbors are skipped (not
     clamped) so no duplicate (tile, doc) rows arise at grid edges."""
@@ -280,7 +284,6 @@ def _replicate_3x3(batch: pa.Table, zoom: int) -> pa.Table:
     return pa.table(
         {
             "tkey": pa.array(tkey, type=pa.int64()),
-            "side": pa.array(np.ones(len(nx), dtype=np.int8)),
             "doc_num": pa.array(doc[idx]),
             "lon": pa.array(lon[idx]),
             "lat": pa.array(lat[idx]),
@@ -288,29 +291,19 @@ def _replicate_3x3(batch: pa.Table, zoom: int) -> pa.Table:
     )
 
 
-def _grouped_knn_combine(table: pa.Table, k: int, exclude_self: bool) -> pa.Table:
+def _grouped_knn_combine(queries: pa.Table, cands: pa.Table, k: int,
+                         exclude_self: bool) -> pa.Table:
     """Per-partition exact windowed top-k. The partition holds, for
     every query tile routed here, ALL candidates of its 3x3 window —
     so ranks are final (no driver merge). Per-tile loop over vectorized
     (Q_t x C_t) distance blocks; query rows are chunked so one block
     stays ~8 MB regardless of tile skew."""
     out_q, out_n, out_d = [], [], []
-    if table.num_rows:
-        side = np.asarray(table["side"], dtype=np.int8)
-        tkey = np.asarray(table["tkey"], dtype=np.int64)
-        doc = np.asarray(table["doc_num"], dtype=np.int64)
-        lon = np.asarray(table["lon"], dtype=np.float64)
-        lat = np.asarray(table["lat"], dtype=np.float64)
-        q_m, c_m = side == 0, side == 1
-        q_order = np.argsort(tkey[q_m], kind="stable")
-        qk, qd, qlo, qla = (a[q_m][q_order] for a in (tkey, doc, lon, lat))
-        c_order = np.argsort(tkey[c_m], kind="stable")
-        ck, cd, clo, cla = (a[c_m][c_order] for a in (tkey, doc, lon, lat))
-        if len(qk):
-            run_starts = np.flatnonzero(np.r_[True, qk[1:] != qk[:-1]])
-            run_ends = np.r_[run_starts[1:], len(qk)]
-        else:
-            run_starts = run_ends = np.empty(0, dtype=np.int64)
+    if queries.num_rows and cands.num_rows:
+        qk, qd, qlo, qla = _by_tkey(queries)
+        ck, cd, clo, cla = _by_tkey(cands)
+        run_starts = np.flatnonzero(np.r_[True, qk[1:] != qk[:-1]])
+        run_ends = np.r_[run_starts[1:], len(qk)]
         for s, e in zip(run_starts, run_ends):
             c0, c1 = np.searchsorted(ck, qk[s]), np.searchsorted(ck, qk[s], side="right")
             if c0 == c1:
@@ -349,6 +342,16 @@ def _grouped_knn_combine(table: pa.Table, k: int, exclude_self: bool) -> pa.Tabl
     )
 
 
+def _by_tkey(t: pa.Table):
+    """(tkey, doc_num, lon, lat) arrays sorted stably by tile key."""
+    tkey = np.asarray(t["tkey"], dtype=np.int64)
+    order = np.argsort(tkey, kind="stable")
+    return (tkey[order],
+            np.asarray(t["doc_num"], dtype=np.int64)[order],
+            np.asarray(t["lon"], dtype=np.float64)[order],
+            np.asarray(t["lat"], dtype=np.float64)[order])
+
+
 def knn_join_grouped(docs_ds, queries_ds, k: int, zoom: int,
                      exclude_self=True, num_partitions: int = 64):
     """Windowed kNN for LARGE query sets: exact top-k among candidates
@@ -372,13 +375,13 @@ def knn_join_grouped(docs_ds, queries_ds, k: int, zoom: int,
     from .exchange import hash_exchange
 
     q = queries_ds.map_batches(
-        functools.partial(_tag_side, zoom=zoom, side=0), batch_format="pyarrow"
+        functools.partial(_query_rows, zoom=zoom), batch_format="pyarrow"
     )
     c = docs_ds.map_batches(
         functools.partial(_replicate_3x3, zoom=zoom), batch_format="pyarrow"
     )
     return hash_exchange(
-        q.union(c),
+        [q, c],
         "tkey",
         functools.partial(_grouped_knn_combine, k=k, exclude_self=exclude_self),
         num_partitions=num_partitions,
@@ -389,7 +392,7 @@ def knn_join_grouped(docs_ds, queries_ds, k: int, zoom: int,
 
 
 def _rect_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
-    """Rect side: explode each rect to EVERY grid cell it overlaps at
+    """Rect input: explode each rect to EVERY grid cell it overlaps at
     ``zoom`` (ragged cross-product, fully vectorized). Cell c covers
     [c/n, (c+1)/n) per axis, so a half-open rect overlaps x cells
     floor(mx0*n) .. ceil(mx1*n)-1 inclusive (same floor(mx*2^z)
@@ -420,70 +423,64 @@ def _rect_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
     return pa.table(
         {
             "tkey": pa.array(tkey, type=pa.int64()),
-            "side": pa.array(np.zeros(tot, dtype=np.int8)),
-            "id": pa.array(rid[rect_idx], type=pa.int64()),
-            "a": pa.array(mx0[rect_idx]),
-            "b": pa.array(my0[rect_idx]),
-            "c": pa.array(mx1[rect_idx]),
-            "d": pa.array(my1[rect_idx]),
+            "rect_id": pa.array(rid[rect_idx], type=pa.int64()),
+            "mx0": pa.array(mx0[rect_idx]),
+            "my0": pa.array(my0[rect_idx]),
+            "mx1": pa.array(mx1[rect_idx]),
+            "my1": pa.array(my1[rect_idx]),
         }
     )
 
 
 def _doc_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
-    """Doc side: one row per doc, keyed by its single grid cell."""
+    """Doc input: one row per doc, keyed by its single grid cell."""
     lon = np.asarray(batch["lon"], dtype=np.float64)
     lat = np.asarray(batch["lat"], dtype=np.float64)
-    doc = np.asarray(batch["doc_num"], dtype=np.int64)
     x, y = coords.lonlat_to_tile(lon, lat, zoom)
     mx, my = coords.mercator_fraction(lon, lat)
     tkey = pack_tkey(np.full(len(x), zoom, dtype=np.int64), x, y)
-    z = np.zeros(len(x), dtype=np.float64)
     return pa.table(
         {
             "tkey": pa.array(tkey, type=pa.int64()),
-            "side": pa.array(np.ones(len(x), dtype=np.int8)),
-            "id": pa.array(doc, type=pa.int64()),
-            "a": pa.array(mx),
-            "b": pa.array(my),
-            "c": pa.array(z),
-            "d": pa.array(z),
+            "doc_num": batch["doc_num"].cast(pa.int64()),
+            "mx": pa.array(mx),
+            "my": pa.array(my),
         }
     )
 
 
-def _rect_bucket_combine(table: pa.Table) -> pa.Table:
-    """Per partition: group rows by cell, probe that cell's docs
-    against that cell's rects (vectorized per rect — rects per cell is
-    the bounded quantity the bucketing buys). A (doc, rect) pair is
-    emitted exactly once: the doc lives in ONE cell and the rect copy
-    in that cell is unique."""
+def _cell_runs(rect_keys: np.ndarray, doc_tbl: pa.Table):
+    """Sort ``doc_tbl`` by cell; per rect copy, the [lo, hi) row range
+    of the docs in its cell. -> (doc order, lo, hi)."""
+    dkey = np.asarray(doc_tbl["tkey"], dtype=np.int64)
+    order = np.argsort(dkey, kind="stable")
+    dkey = dkey[order]
+    return (order, np.searchsorted(dkey, rect_keys, side="left"),
+            np.searchsorted(dkey, rect_keys, side="right"))
+
+
+def _rect_bucket_combine(rects: pa.Table, docs: pa.Table) -> pa.Table:
+    """Per partition: probe each rect copy against the docs of its
+    cell (vectorized per rect — rects per cell is the bounded quantity
+    the bucketing buys). A (doc, rect) pair is emitted exactly once:
+    the doc lives in ONE cell and the rect copy in that cell is
+    unique."""
     out_doc, out_rect = [], []
-    if table.num_rows:
-        tkey = np.asarray(table["tkey"], dtype=np.int64)
-        side = np.asarray(table["side"], dtype=np.int8)
-        ids = np.asarray(table["id"], dtype=np.int64)
-        a = np.asarray(table["a"], dtype=np.float64)
-        b = np.asarray(table["b"], dtype=np.float64)
-        c = np.asarray(table["c"], dtype=np.float64)
-        d = np.asarray(table["d"], dtype=np.float64)
-        order = np.lexsort((side, tkey))
-        tkey, side, ids = tkey[order], side[order], ids[order]
-        a, b, c, d = a[order], b[order], c[order], d[order]
-        run_starts = np.flatnonzero(np.r_[True, tkey[1:] != tkey[:-1]])
-        run_ends = np.r_[run_starts[1:], len(tkey)]
-        for s, e in zip(run_starts, run_ends):
-            split = s + int(np.searchsorted(side[s:e], 1))
-            if split == s or split == e:
-                continue  # rect-only or doc-only cell
-            mx, my = a[split:e], b[split:e]
-            docs = ids[split:e]
-            for r in range(s, split):
-                m = (mx >= a[r]) & (mx < c[r]) & (my >= b[r]) & (my < d[r])
-                hits = docs[m]
-                if len(hits):
-                    out_doc.append(hits)
-                    out_rect.append(np.full(len(hits), ids[r], dtype=np.int64))
+    if rects.num_rows and docs.num_rows:
+        rid, x0, y0, x1, y1 = (
+            np.asarray(rects[c]) for c in ("rect_id", "mx0", "my0", "mx1", "my1"))
+        order, lo, hi = _cell_runs(np.asarray(rects["tkey"], dtype=np.int64), docs)
+        ids = np.asarray(docs["doc_num"], dtype=np.int64)[order]
+        mx = np.asarray(docs["mx"], dtype=np.float64)[order]
+        my = np.asarray(docs["my"], dtype=np.float64)[order]
+        for r in np.flatnonzero(hi > lo):
+            s, e = lo[r], hi[r]
+            m = ((mx[s:e] >= x0[r]) & (mx[s:e] < x1[r])
+                 & (my[s:e] >= y0[r]) & (my[s:e] < y1[r]))
+            hits = ids[s:e][m]
+            if len(hits):
+                out_doc.append(hits)
+                out_rect.append(np.full(len(hits), rid[r], dtype=np.int64))
     cat = lambda p: np.concatenate(p) if p else np.empty(0, np.int64)
     return pa.table(
         {
@@ -524,7 +521,7 @@ def rect_join_bucketed(docs_ds, rects_ds, zoom: int,
     p = docs_ds.map_batches(
         functools.partial(_doc_cell_rows, zoom=zoom), batch_format="pyarrow")
     return hash_exchange(
-        r.union(p), "tkey", _rect_bucket_combine,
+        [r, p], "tkey", _rect_bucket_combine,
         num_partitions=num_partitions)
 
 
@@ -627,7 +624,7 @@ class PolygonJoin:
 
 
 def _poly_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
-    """Polygon side of the bucketed exchange: explode each polygon to
+    """Polygon input of the bucketed exchange: explode each polygon to
     every mercator grid cell its lon/lat bbox overlaps (the rect
     explosion reused on the bbox), vertices ride along as list
     columns."""
@@ -635,7 +632,7 @@ def _poly_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
     xs = batch["xs"].combine_chunks()
     ys = batch["ys"].combine_chunks()
     n = 1 << zoom
-    rows = {"tkey": [], "side": [], "id": [], "xs": [], "ys": []}
+    rows = {"tkey": [], "poly_id": [], "xs": [], "ys": []}
     for r in range(batch.num_rows):
         vx = np.asarray(xs[r].values, dtype=np.float64)
         vy = np.asarray(ys[r].values, dtype=np.float64)
@@ -651,78 +648,54 @@ def _poly_cell_rows(batch: pa.Table, zoom: int) -> pa.Table:
             for cy in range(cy0, cy1 + 1):
                 rows["tkey"].append(int(pack_tkey(
                     np.array([zoom]), np.array([cx]), np.array([cy]))[0]))
-                rows["side"].append(0)
-                rows["id"].append(int(pid[r]))
+                rows["poly_id"].append(int(pid[r]))
                 rows["xs"].append(vx.tolist())
                 rows["ys"].append(vy.tolist())
-    n_out = len(rows["tkey"])
     return pa.table({
         "tkey": pa.array(rows["tkey"], type=pa.int64()),
-        "side": pa.array(rows["side"], type=pa.int8()),
-        "id": pa.array(rows["id"], type=pa.int64()),
+        "poly_id": pa.array(rows["poly_id"], type=pa.int64()),
         "xs": pa.array(rows["xs"], type=pa.list_(pa.float64())),
         "ys": pa.array(rows["ys"], type=pa.list_(pa.float64())),
-        "px": pa.array(np.zeros(n_out), type=pa.float64()),
-        "py": pa.array(np.zeros(n_out), type=pa.float64()),
     })
 
 
 def _poly_doc_rows(batch: pa.Table, zoom: int) -> pa.Table:
-    """Doc side: one row per doc keyed by its cell; the point rides in
-    scalar px/py columns (empty vertex lists keep the schema shared
-    with the polygon side — fully vectorized, no per-row Python)."""
+    """Doc input: one row per doc keyed by its cell, with its point."""
     lon = np.asarray(batch["lon"], dtype=np.float64)
     lat = np.asarray(batch["lat"], dtype=np.float64)
-    doc = np.asarray(batch["doc_num"], dtype=np.int64)
     x, y = coords.lonlat_to_tile(lon, lat, zoom)
     tkey = pack_tkey(np.full(len(x), zoom, dtype=np.int64), x, y)
-    empty_lists = pa.ListArray.from_arrays(
-        pa.array(np.zeros(len(x) + 1, dtype=np.int32)),
-        pa.array([], type=pa.float64()))
     return pa.table({
         "tkey": pa.array(tkey, type=pa.int64()),
-        "side": pa.array(np.ones(len(x), dtype=np.int8)),
-        "id": pa.array(doc, type=pa.int64()),
-        "xs": empty_lists,
-        "ys": empty_lists,
-        "px": pa.array(lon, type=pa.float64()),
-        "py": pa.array(lat, type=pa.float64()),
+        "doc_num": batch["doc_num"].cast(pa.int64()),
+        "lon": pa.array(lon),
+        "lat": pa.array(lat),
     })
 
 
-def _poly_bucket_combine(table: pa.Table) -> pa.Table:
-    """Per partition: per cell, ray-cast that cell's docs against that
-    cell's polygon copies. A (doc, poly) pair emits exactly once (one
-    cell per doc; one polygon copy per overlapped cell, and the doc's
-    cell is unique among them)."""
+def _poly_bucket_combine(polys: pa.Table, docs: pa.Table) -> pa.Table:
+    """Per partition: ray-cast each polygon copy against the docs of
+    its cell. A (doc, poly) pair emits exactly once (one cell per doc;
+    one polygon copy per overlapped cell, and the doc's cell is unique
+    among them)."""
     out_d, out_p = [], []
-    if table.num_rows:
-        tkey = np.asarray(table["tkey"], dtype=np.int64)
-        side = np.asarray(table["side"], dtype=np.int8)
-        ids = np.asarray(table["id"], dtype=np.int64)
-        pxa = np.asarray(table["px"], dtype=np.float64)
-        pya = np.asarray(table["py"], dtype=np.float64)
-        xs = table["xs"].combine_chunks()
-        ys = table["ys"].combine_chunks()
-        order = np.lexsort((side, tkey))
-        run_starts = np.flatnonzero(
-            np.r_[True, tkey[order][1:] != tkey[order][:-1]])
-        run_ends = np.r_[run_starts[1:], len(order)]
-        s_sorted = side[order]
-        for s, e in zip(run_starts, run_ends):
-            split = s + int(np.searchsorted(s_sorted[s:e], 1))
-            if split == s or split == e:
-                continue
-            didx = order[split:e]
-            px, py, docs = pxa[didx], pya[didx], ids[didx]
-            for r in order[s:split]:
-                vx = np.asarray(xs[int(r)].values, dtype=np.float64)
-                vy = np.asarray(ys[int(r)].values, dtype=np.float64)
-                hit = _ray_cast(px, py, vx, vy)
-                if hit.any():
-                    out_d.append(docs[hit])
-                    out_p.append(np.full(int(hit.sum()), ids[int(r)],
-                                         dtype=np.int64))
+    if polys.num_rows and docs.num_rows:
+        pkey = np.asarray(polys["tkey"], dtype=np.int64)
+        pids = np.asarray(polys["poly_id"], dtype=np.int64)
+        xs = polys["xs"].combine_chunks()
+        ys = polys["ys"].combine_chunks()
+        order, lo, hi = _cell_runs(pkey, docs)
+        ids = np.asarray(docs["doc_num"], dtype=np.int64)[order]
+        px = np.asarray(docs["lon"], dtype=np.float64)[order]
+        py = np.asarray(docs["lat"], dtype=np.float64)[order]
+        for r in np.flatnonzero(hi > lo):
+            s, e = lo[r], hi[r]
+            vx = np.asarray(xs[int(r)].values, dtype=np.float64)
+            vy = np.asarray(ys[int(r)].values, dtype=np.float64)
+            hit = _ray_cast(px[s:e], py[s:e], vx, vy)
+            if hit.any():
+                out_d.append(ids[s:e][hit])
+                out_p.append(np.full(int(hit.sum()), pids[r], dtype=np.int64))
     cat = lambda p: np.concatenate(p) if p else np.empty(0, np.int64)  # noqa: E731
     return pa.table({
         "doc_num": pa.array(cat(out_d), type=pa.int64()),
@@ -749,31 +722,22 @@ def polygon_join_bucketed(docs_ds, polys_ds, zoom: int,
     d = docs_ds.map_batches(
         functools.partial(_poly_doc_rows, zoom=zoom), batch_format="pyarrow")
     return hash_exchange(
-        p.union(d), "tkey", _poly_bucket_combine,
+        [p, d], "tkey", _poly_bucket_combine,
         num_partitions=num_partitions)
 
 
 # ---- as-of join ---------------------------------------------------------
 
-# internal routing/order columns of the exchange joins: silently
-# clobbering a same-named input column would misroute rows
-_RESERVED = {"route", "__on", "__side", "__lo", "__hi", "__cents"}
+
+def _int64s(col) -> np.ndarray:
+    return np.asarray(col.cast(pa.int64()), dtype=np.int64)
 
 
-def _asof_side_rows(batch: pa.Table, by: str, on: str, side: int,
-                    copy: frozenset, ordered: tuple) -> pa.Table:
-    """Route rows + the UNIFIED schema in ONE canonical column order:
-    the other side's columns are typed nulls, so every exchange
-    partition (even one fed by a single side) carries an identical
-    schema and the reduce concat never sees a mismatch."""
-    cols = {
-        "route": batch[by].cast(pa.int64()),
-        "__on": batch[on].cast(pa.int64()),
-        "__side": pa.array(np.full(batch.num_rows, side), type=pa.int64()),
-    }
-    for c, typ in ordered:
-        cols[c] = batch[c] if c in copy else pa.nulls(batch.num_rows, type=typ)
-    return pa.table(cols)
+def _own(t: pa.Table, empty: pa.Table) -> pa.Table:
+    """``t``, or the 0-row ``empty`` read from the input's schema on the
+    driver when the exchange hands over a column-less table (Ray's
+    map_batches emits schema-less blocks for an input with no rows)."""
+    return t if t.num_columns else empty
 
 
 def _rank_key(by: np.ndarray, on: np.ndarray):
@@ -786,22 +750,21 @@ def _rank_key(by: np.ndarray, on: np.ndarray):
     return binv.astype(np.int64) * span + oinv.astype(np.int64), span
 
 
-def _asof_combine(tbl: pa.Table, left_cols: tuple, right_cols: tuple,
-                  direction: str) -> pa.Table:
-    side = np.asarray(tbl["__side"], dtype=np.int64)
-    key, span = _rank_key(np.asarray(tbl["route"], dtype=np.int64),
-                          np.asarray(tbl["__on"], dtype=np.int64))
-    lmask = side == 0
-    lkey = key[lmask]
-    r_rows = np.flatnonzero(~lmask)
-    order = np.argsort(key[r_rows], kind="stable")
-    r_rows = r_rows[order]
-    rkey = key[r_rows]
+def _asof_combine(left: pa.Table, right: pa.Table, empties: tuple, by: str,
+                  left_on: str, right_on: str, direction: str) -> pa.Table:
+    left, right = _own(left, empties[0]), _own(right, empties[1])
+    n_l = left.num_rows
+    key, span = _rank_key(
+        np.concatenate([_int64s(left[by]), _int64s(right[by])]),
+        np.concatenate([_int64s(left[left_on]), _int64s(right[right_on])]))
+    lkey = key[:n_l]
+    r_rows = np.argsort(key[n_l:], kind="stable")
+    rkey = key[n_l:][r_rows]
     n_r = len(rkey)
-    if direction == "backward":  # greatest right __on <= left __on
+    if direction == "backward":  # greatest right on <= left on
         pos = np.searchsorted(rkey, lkey, side="right") - 1
         valid = pos >= 0
-    elif direction == "forward":  # smallest right __on >= left __on
+    elif direction == "forward":  # smallest right on >= left on
         pos = np.searchsorted(rkey, lkey, side="left")
         valid = pos < n_r
     else:
@@ -810,15 +773,13 @@ def _asof_combine(tbl: pa.Table, left_cols: tuple, right_cols: tuple,
     if n_r:
         valid &= (rkey[pos] // span) == (lkey // span)  # same `by` group
     else:
-        valid = np.zeros(len(lkey), dtype=bool)
-    out = {}
-    lsel = pa.array(lmask)
-    for c in left_cols:
-        out[c] = tbl[c].filter(lsel)
-    match_idx = pa.array(r_rows[pos] if n_r else np.zeros(len(lkey), np.int64),
+        valid = np.zeros(n_l, dtype=bool)
+    out = {c: left[c] for c in left.column_names}
+    match_idx = pa.array(r_rows[pos] if n_r else np.zeros(n_l, np.int64),
                          type=pa.int64(), mask=~valid)
-    for c in right_cols:
-        out[c] = tbl[c].take(match_idx)  # null index -> null value
+    for c in right.column_names:
+        if c not in (by, right_on):
+            out[c] = right[c].take(match_idx)  # null index -> null value
     return pa.table(out)
 
 
@@ -829,8 +790,8 @@ def asof_join(left_ds, right_ds, *, by: str, left_on: str, right_on: str,
     on (by, right_on) should be pre-aggregated away by the caller) or
     the smallest ``right_on >= left_on`` (forward), matching within the
     same ``by`` key. DuckDB's ``ASOF JOIN`` semantics; Ray Data has no
-    such verb, so this composes the engine's hash exchange: both sides
-    are routed by ``by`` (one co-partitioning shuffle of exactly the
+    such verb, so this composes the engine's hash exchange: both inputs
+    co-group on ``by`` (one co-partitioning shuffle of exactly the
     join inputs), then each partition runs one vectorized
     searchsorted over rank-encoded (by, on) keys — no sort-merge of the
     full datasets, no broadcast.
@@ -843,36 +804,19 @@ def asof_join(left_ds, right_ds, *, by: str, left_on: str, right_on: str,
     """
     import functools
 
-    from .exchange import hash_exchange
+    from .exchange import _empty_table, hash_exchange
 
-    l_schema, r_schema = left_ds.schema(), right_ds.schema()
-    left_cols = tuple(l_schema.names)
-    right_cols = tuple(c for c in r_schema.names if c not in (by, right_on))
-    overlap = set(left_cols) & set(right_cols)
+    empties = (_empty_table(left_ds), _empty_table(right_ds))
+    overlap = set(empties[0].column_names) & (
+        set(empties[1].column_names) - {by, right_on})
     if overlap:
         raise ValueError(f"asof_join column collision: {sorted(overlap)}")
-    reserved = _RESERVED & (set(l_schema.names) | set(r_schema.names))
-    if reserved:
-        raise ValueError(f"asof_join reserved column names in input: "
-                         f"{sorted(reserved)}")
-    ordered = tuple(zip(l_schema.names, l_schema.types)) + tuple(
-        (c, t) for c, t in zip(r_schema.names, r_schema.types)
-        if c in right_cols)
-    l_rows = left_ds.map_batches(
-        functools.partial(_asof_side_rows, by=by, on=left_on, side=0,
-                          copy=frozenset(left_cols), ordered=ordered),
-        batch_format="pyarrow",
-    )
-    r_rows = right_ds.map_batches(
-        functools.partial(_asof_side_rows, by=by, on=right_on, side=1,
-                          copy=frozenset(right_cols), ordered=ordered),
-        batch_format="pyarrow",
-    )
     return hash_exchange(
-        l_rows.union(r_rows),
-        "route",
-        functools.partial(_asof_combine, left_cols=left_cols,
-                          right_cols=right_cols, direction=direction),
+        [left_ds, right_ds],
+        by,
+        functools.partial(_asof_combine, empties=empties, by=by,
+                          left_on=left_on, right_on=right_on,
+                          direction=direction),
         num_partitions=num_partitions,
     )
 
@@ -880,72 +824,36 @@ def asof_join(left_ds, right_ds, *, by: str, left_on: str, right_on: str,
 # ---- range join (windowed aggregate flavor) -----------------------------
 
 
-def _rj_interval_rows(batch: pa.Table, by: str, lo: str, hi: str,
-                      keep: tuple) -> pa.Table:
-    cols = {
-        "route": batch[by].cast(pa.int64()),
-        "__lo": batch[lo].cast(pa.int64()),
-        "__hi": batch[hi].cast(pa.int64()),
-        "__cents": pa.array(np.zeros(batch.num_rows, np.int64), type=pa.int64()),
-        "__side": pa.array(np.full(batch.num_rows, 0), type=pa.int64()),
-    }
-    for c in keep:
-        cols[c] = batch[c]
-    return pa.table(cols)
-
-
-def _rj_point_rows(batch: pa.Table, by: str, at: str, value: str,
-                   null_fill: tuple) -> pa.Table:
-    at_i = batch[at].cast(pa.int64())
+def _rj_combine(intervals: pa.Table, points: pa.Table, empties: tuple,
+                by: str, lo: str, hi: str, at: str, value: str, n_col: str,
+                sum_col: str) -> pa.Table:
+    intervals, points = _own(intervals, empties[0]), _own(points, empties[1])
+    n_i = intervals.num_rows
+    by_r = np.concatenate([_int64s(intervals[by]), _int64s(points[by])])
+    lo_v, hi_v = _int64s(intervals[lo]), _int64s(intervals[hi])
+    at_v = _int64s(points[at])
     # null/NaN values contribute 0 cents but the point still counts —
     # SQL's COUNT(row)/SUM-skips-NULL semantics (floor(NaN).astype
     # would otherwise poison the prefix sum with INT64_MIN)
-    vals = np.asarray(batch[value].cast(pa.float64()).fill_null(0.0),
+    vals = np.asarray(points[value].cast(pa.float64()).fill_null(0.0),
                       dtype=np.float64)
-    cents = np.floor(np.nan_to_num(vals, nan=0.0) * 100.0)
-    cols = {
-        "route": batch[by].cast(pa.int64()),
-        "__lo": at_i,
-        "__hi": at_i,
-        "__cents": pa.array(cents.astype(np.int64), type=pa.int64()),
-        "__side": pa.array(np.full(batch.num_rows, 1), type=pa.int64()),
-    }
-    for c, typ in null_fill:
-        cols[c] = pa.nulls(batch.num_rows, type=typ)
-    return pa.table(cols)
-
-
-def _rj_combine(tbl: pa.Table, keep: tuple, n_col: str, sum_col: str) -> pa.Table:
-    side = np.asarray(tbl["__side"], dtype=np.int64)
-    by = np.asarray(tbl["route"], dtype=np.int64)
-    imask = side == 0
-    pmask = ~imask
+    cents = np.floor(np.nan_to_num(vals, nan=0.0) * 100.0).astype(np.int64)
     # joint ranks over lo/hi/at so inclusive [lo, hi] bounds are exact
-    allv = np.concatenate([np.asarray(tbl["__lo"], dtype=np.int64),
-                           np.asarray(tbl["__hi"], dtype=np.int64)])
-    uo = np.unique(allv)
+    uo = np.unique(np.concatenate([lo_v, hi_v, at_v]))
     span = np.int64(len(uo) + 1)
-    _, binv = np.unique(by, return_inverse=True)
+    _, binv = np.unique(by_r, return_inverse=True)
     binv = binv.astype(np.int64)
-    lo_r = np.searchsorted(uo, np.asarray(tbl["__lo"], dtype=np.int64))
-    hi_r = np.searchsorted(uo, np.asarray(tbl["__hi"], dtype=np.int64))
-    p_key = binv[pmask] * span + lo_r[pmask]  # points: __lo == __hi == at
+    p_key = binv[n_i:] * span + np.searchsorted(uo, at_v)
     order = np.argsort(p_key, kind="stable")
     p_key = p_key[order]
-    cents = np.asarray(tbl["__cents"], dtype=np.int64)[pmask][order]
-    csum = np.concatenate(([0], np.cumsum(cents)))
-    lo_key = binv[imask] * span + lo_r[imask]
-    hi_key = binv[imask] * span + hi_r[imask]
+    csum = np.concatenate(([0], np.cumsum(cents[order])))
+    lo_key = binv[:n_i] * span + np.searchsorted(uo, lo_v)
+    hi_key = binv[:n_i] * span + np.searchsorted(uo, hi_v)
     a = np.searchsorted(p_key, lo_key, side="left")
     b = np.searchsorted(p_key, hi_key, side="right")
     b = np.maximum(b, a)  # inverted intervals (lo > hi) match nothing
-    out = {}
-    isel = pa.array(imask)
-    for c in keep:
-        out[c] = tbl[c].filter(isel)
-    out[n_col] = pa.array(b - a, type=pa.int64())
-    out[sum_col] = pa.array(csum[b] - csum[a], type=pa.int64())
-    return pa.table(out)
+    return (intervals.append_column(n_col, pa.array(b - a, type=pa.int64()))
+            .append_column(sum_col, pa.array(csum[b] - csum[a], type=pa.int64())))
 
 
 def range_join_agg(intervals_ds, points_ds, *, by: str, lo: str, hi: str,
@@ -954,37 +862,26 @@ def range_join_agg(intervals_ds, points_ds, *, by: str, lo: str, hi: str,
     """Range join aggregated per interval: for each interval row
     ``[lo, hi]`` (inclusive), count the same-``by`` points with
     ``lo <= at <= hi`` and sum their int-cents values (floor(value*100)
-    — the engine's oracle-exact money convention). Co-partition both
-    sides by ``by`` through one hash exchange, then per partition a
+    — the engine's oracle-exact money convention). Co-group both
+    inputs on ``by`` through one hash exchange, then per partition a
     prefix-sum + two searchsorteds answer every interval in O(n log n)
     — the windowed-aggregate form of a range join that never
     materializes matched PAIRS (pair output is the same routing with a
     per-partition expand; counts/sums are what curation pipelines
-    consume). Output: interval ``keep`` columns + n_col + sum_col.
+    consume). Output: every interval column + n_col + sum_col.
     """
     import functools
 
-    from .exchange import hash_exchange
+    from .exchange import _empty_table, hash_exchange
 
-    i_schema = intervals_ds.schema()
-    reserved = _RESERVED & (set(i_schema.names) | set(points_ds.schema().names))
-    if reserved:
-        raise ValueError(f"range_join_agg reserved column names in input: "
-                         f"{sorted(reserved)}")
-    keep = tuple(i_schema.names)
-    i_rows = intervals_ds.map_batches(
-        functools.partial(_rj_interval_rows, by=by, lo=lo, hi=hi, keep=keep),
-        batch_format="pyarrow",
-    )
-    p_rows = points_ds.map_batches(
-        functools.partial(_rj_point_rows, by=by, at=at, value=value,
-                          null_fill=tuple(zip(i_schema.names, i_schema.types))),
-        batch_format="pyarrow",
-    )
+    point_cols = list(dict.fromkeys([by, at, value]))
+    empties = (_empty_table(intervals_ds),
+               _empty_table(points_ds).select(point_cols))
     return hash_exchange(
-        i_rows.union(p_rows),
-        "route",
-        functools.partial(_rj_combine, keep=keep, n_col=n_col, sum_col=sum_col),
+        [intervals_ds, points_ds.select_columns(point_cols)],
+        by,
+        functools.partial(_rj_combine, empties=empties, by=by, lo=lo, hi=hi,
+                          at=at, value=value, n_col=n_col, sum_col=sum_col),
         num_partitions=num_partitions,
     )
 
@@ -992,21 +889,14 @@ def range_join_agg(intervals_ds, points_ds, *, by: str, lo: str, hi: str,
 # ---- distributed anti-join ----------------------------------------------
 
 
-def _aj_rows(batch: pa.Table, id_col: str, side: int, null_fill: tuple) -> pa.Table:
-    cols = {"__side": pa.array(np.full(batch.num_rows, side), type=pa.int64())}
-    for c, typ in null_fill:
-        cols[c] = batch[c] if c in batch.column_names else pa.nulls(
-            batch.num_rows, type=typ)
-    return pa.table(cols)
-
-
-def _aj_combine(tbl: pa.Table, id_col: str) -> pa.Table:
-    side = np.asarray(tbl["__side"], dtype=np.int64)
-    ids = np.asarray(tbl[id_col], dtype=np.int64)
-    keep_rows = side == 0
-    drop_ids = ids[~keep_rows]
-    keep = keep_rows & ~np.isin(ids, drop_ids)
-    return tbl.filter(pa.array(keep)).drop_columns(["__side"])
+def _aj_combine(rows: pa.Table, drop: pa.Table, empty: pa.Table,
+                id_col: str) -> pa.Table:
+    rows = _own(rows, empty)
+    if not (rows.num_rows and drop.num_rows):
+        return rows
+    keep = ~np.isin(np.asarray(rows[id_col], dtype=np.int64),
+                    np.asarray(drop[id_col], dtype=np.int64))
+    return rows.filter(pa.array(keep))
 
 
 def _bloom_split(batch: pa.Table, id_col: str, bloom_ref, m_bits: int,
@@ -1025,7 +915,7 @@ def _bloom_split(batch: pa.Table, id_col: str, bloom_ref, m_bits: int,
 def anti_join_ids(ds, drop_ds, id_col: str, num_partitions: int = 32,
                   bloom_bits: int | None = None):
     """Distributed anti-join: rows of ``ds`` whose int64 ``id_col`` is
-    NOT present in ``drop_ds[id_col]``. Both sides co-partition by the
+    NOT present in ``drop_ds[id_col]``. Both inputs co-group on the
     id through one hash exchange; each partition filters with one
     vectorized ``isin`` — no broadcast of the drop set, so the drop
     side may be as large as the data (the dedup-survivor case, where
@@ -1042,10 +932,9 @@ def anti_join_ids(ds, drop_ds, id_col: str, num_partitions: int = 32,
     over drop_ds to build the bitmap."""
     import functools
 
-    from .exchange import hash_exchange
+    from .exchange import _empty_table, hash_exchange
 
-    if "__side" in ds.schema().names:
-        raise ValueError("anti_join_ids reserved column '__side' in input")
+    empty = _empty_table(ds)
     direct = None
     if bloom_bits:
         bref, m, k = build_id_bloom(drop_ds, id_col, m_bits=bloom_bits)
@@ -1057,16 +946,9 @@ def anti_join_ids(ds, drop_ds, id_col: str, num_partitions: int = 32,
             functools.partial(_bloom_split, id_col=id_col, bloom_ref=bref,
                               m_bits=m, k=k, want_maybe=True),
             batch_format="pyarrow")
-    fill = tuple(zip(ds.schema().names, ds.schema().types))
-    l_rows = ds.map_batches(
-        functools.partial(_aj_rows, id_col=id_col, side=0, null_fill=fill),
-        batch_format="pyarrow")
-    r_rows = drop_ds.map_batches(
-        functools.partial(_aj_rows, id_col=id_col, side=1, null_fill=fill),
-        batch_format="pyarrow")
     out = hash_exchange(
-        l_rows.union(r_rows), id_col,
-        functools.partial(_aj_combine, id_col=id_col),
+        [ds, drop_ds.select_columns([id_col])], id_col,
+        functools.partial(_aj_combine, empty=empty, id_col=id_col),
         num_partitions=num_partitions)
     return out.union(direct) if direct is not None else out
 
@@ -1078,8 +960,13 @@ _HJ_TYPES = {"inner": "inner", "left": "left outer",
              "semi": "left semi", "anti": "left anti"}
 
 
-def _hj_side_rows(batch: pa.Table, on: str, side: int, fill: tuple,
-                  key_is_str: bool) -> pa.Table:
+def _hj_key_kind(t: pa.DataType):
+    if pa.types.is_string(t):
+        return "string"
+    return "integer" if pa.types.is_integer(t) else None
+
+
+def _hj_route(batch: pa.Table, on: str, key_is_str: bool) -> pa.Table:
     from .curate import _hash_strings
 
     key = batch[on]
@@ -1091,23 +978,20 @@ def _hj_side_rows(batch: pa.Table, on: str, side: int, fill: tuple,
             raise ValueError(f"hash_join key column {on!r} contains nulls; "
                              "filter or fill them first")
         route = np.asarray(arr, dtype=np.int64)
-    cols = {
-        "_route": pa.array(route, type=pa.int64()),
-        "__side": pa.array(np.full(batch.num_rows, side), type=pa.int64()),
-        on: key,
-    }
-    for c, typ in fill:
-        cols[c] = batch[c] if c in batch.column_names else pa.nulls(
-            batch.num_rows, type=typ)
-    return pa.table(cols)
+    return batch.append_column("_route", pa.array(route, type=pa.int64()))
 
 
-def _hj_combine(tbl: pa.Table, on: str, l_cols: tuple, r_cols: tuple,
+def _hj_combine(left: pa.Table, right: pa.Table, empties: tuple, on: str,
                 join_type: str) -> pa.Table:
-    side = np.asarray(tbl["__side"], dtype=np.int64)
-    left = tbl.filter(pa.array(side == 0)).select([on, *l_cols])
-    right = tbl.filter(pa.array(side == 1)).select([on, *r_cols])
-    return left.join(right, keys=on, join_type=join_type).combine_chunks()
+    """Arrow join of one partition's sides, each cut to its driver-side
+    (on, *columns) layout ``empties``; integer keys meet as int64."""
+    sides = []
+    for t, empty in zip((left, right), empties):
+        t = _own(t, empty).select(empty.column_names)
+        if pa.types.is_integer(t.schema.field(on).type):
+            t = t.set_column(0, on, t[on].cast(pa.int64()))
+        sides.append(t)
+    return sides[0].join(sides[1], keys=on, join_type=join_type).combine_chunks()
 
 
 def hash_join(left_ds, right_ds, on: str, how: str = "inner",
@@ -1117,16 +1001,17 @@ def hash_join(left_ds, right_ds, on: str, how: str = "inner",
     build side outgrows worker memory.
 
     how: 'inner' | 'left' (outer) | 'semi' | 'anti' (left-side
-    existence forms). Both sides co-partition by the join key through
-    ONE streaming hash exchange (side-tagged union, exactly the
-    `anti_join_ids` layout), then each partition joins locally with
-    Arrow's native hash join — vectorized C++, no pandas, no driver
-    gather. Shuffle volume is |left| + |right| rows, once; skewed keys
-    land whole in one partition, so `num_partitions` is the memory
-    knob (a hot key that exceeds a worker's heap needs a salted
-    pre-aggregate upstream, same contract as the reference's per-tile
-    grouping). The join key must be non-null (int64 routes directly;
-    strings route by the vectorized FNV of `stages/curate`); non-key
+    existence forms). Both inputs co-group on the join key through
+    ONE streaming hash exchange (the `anti_join_ids` layout), then
+    each partition joins locally with Arrow's native hash join —
+    vectorized C++, no pandas, no driver gather. Shuffle volume is
+    |left| + |right| rows, once; skewed keys land whole in one
+    partition, so `num_partitions` is the memory knob (a hot key that
+    exceeds a worker's heap needs a salted pre-aggregate upstream,
+    same contract as the reference's per-tile grouping). The join key
+    must be non-null and of one kind on both sides, integer or string
+    (int64 routes directly; strings route by the vectorized FNV of
+    `stages/curate`), else ValueError before any task runs; non-key
     column names must be disjoint across sides.
 
     New surface relative to the reference (its only joins are
@@ -1135,37 +1020,32 @@ def hash_join(left_ds, right_ds, on: str, how: str = "inner",
     """
     import functools
 
-    from .exchange import hash_exchange
+    from .exchange import _empty_table, hash_exchange
 
     if how not in _HJ_TYPES:
         raise ValueError(f"hash_join how={how!r}: want one of {sorted(_HJ_TYPES)}")
-    l_schema, r_schema = left_ds.schema(), right_ds.schema()
-    for s in (l_schema, r_schema):
-        if on not in s.names:
-            raise ValueError(f"hash_join: key {on!r} missing from {s.names}")
-        for reserved in ("_route", "__side"):
-            if reserved in s.names:
-                raise ValueError(f"hash_join reserved column {reserved!r} in input")
-    l_cols = tuple(n for n in l_schema.names if n != on)
-    r_cols = tuple(n for n in r_schema.names if n != on)
+    empties = (_empty_table(left_ds), _empty_table(right_ds))
+    for e in empties:
+        if on not in e.column_names:
+            raise ValueError(f"hash_join: key {on!r} missing from {e.column_names}")
+        if "_route" in e.column_names:
+            raise ValueError("hash_join reserved column '_route' in input")
+    l_type, r_type = (e.schema.field(on).type for e in empties)
+    kind = _hj_key_kind(l_type)
+    if kind is None or kind != _hj_key_kind(r_type):
+        raise ValueError(f"hash_join: key {on!r} is {l_type} on the left and "
+                         f"{r_type} on the right; want integers or strings "
+                         "on both sides")
+    l_cols, r_cols = ([n for n in e.column_names if n != on] for e in empties)
     overlap = set(l_cols) & set(r_cols)
     if overlap:
         raise ValueError(f"hash_join: non-key columns overlap: {sorted(overlap)}")
-    key_is_str = pa.types.is_string(l_schema.types[l_schema.names.index(on)])
-    fill = tuple(
-        [(n, t) for n, t in zip(l_schema.names, l_schema.types) if n != on]
-        + [(n, t) for n, t in zip(r_schema.names, r_schema.types) if n != on])
-    l_rows = left_ds.map_batches(
-        functools.partial(_hj_side_rows, on=on, side=0, fill=fill,
-                          key_is_str=key_is_str),
-        batch_format="pyarrow")
-    r_rows = right_ds.map_batches(
-        functools.partial(_hj_side_rows, on=on, side=1, fill=fill,
-                          key_is_str=key_is_str),
-        batch_format="pyarrow")
+    empties = (empties[0].select([on, *l_cols]), empties[1].select([on, *r_cols]))
+    route = functools.partial(_hj_route, on=on, key_is_str=kind == "string")
     out = hash_exchange(
-        l_rows.union(r_rows), "_route",
-        functools.partial(_hj_combine, on=on, l_cols=l_cols, r_cols=r_cols,
+        [left_ds.map_batches(route, batch_format="pyarrow"),
+         right_ds.map_batches(route, batch_format="pyarrow")], "_route",
+        functools.partial(_hj_combine, empties=empties, on=on,
                           join_type=_HJ_TYPES[how]),
         num_partitions=num_partitions)
     keep = [on, *l_cols] if how in ("semi", "anti") else [on, *l_cols, *r_cols]

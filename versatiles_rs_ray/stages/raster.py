@@ -181,11 +181,13 @@ def _overview_combine(table: pa.Table) -> pa.Table:
     )
 
 
-def _stack_combine(table: pa.Table) -> pa.Table:
-    """Per-partition: group by tile key, composite in rank order with
+def _stack_combine(*sources: pa.Table) -> pa.Table:
+    """Per-partition: group by tile key, composite in source order with
     the opaque short-circuit (from_stacked_raster.rs:57-74)."""
+    # a source with no rows may arrive column-less; it adds nothing here
+    table = pa.concat_tables(sources, promote_options="default")
     tkey = np.asarray(table["tkey"], dtype=np.int64)
-    rank = np.asarray(table["src_rank"], dtype=np.int64)
+    rank = np.repeat(np.arange(len(sources)), [t.num_rows for t in sources])
     widths = np.asarray(table["width"], dtype=np.int64)
     payloads = table["payload"].to_pylist()
     order = np.lexsort((rank, tkey))
@@ -235,24 +237,10 @@ def stacked_raster(sources, num_partitions: int = 8):
     Datasets (first = topmost, like the reference's source order).
     """
     from .exchange import hash_exchange
+    from .stack import tile_keyed
 
-    union = None
-    for rank_val, src in enumerate(sources):
-
-        def tag(batch: pa.Table, rank_val=rank_val) -> pa.Table:
-            tkey = pack_tkey(
-                np.asarray(batch["z"], dtype=np.int64),
-                np.asarray(batch["x"], dtype=np.int64),
-                np.asarray(batch["y"], dtype=np.int64),
-            )
-            batch = batch.append_column("tkey", pa.array(tkey, type=pa.int64()))
-            return batch.append_column(
-                "src_rank", pa.array(np.full(len(tkey), rank_val), type=pa.int64())
-            )
-
-        tagged = src.map_batches(tag, batch_format="pyarrow")
-        union = tagged if union is None else union.union(tagged)
-    return hash_exchange(union, "tkey", _stack_combine, num_partitions=num_partitions)
+    return hash_exchange(tile_keyed(sources), "tkey", _stack_combine,
+                         num_partitions=num_partitions)
 
 
 def raster_overview_level(ds, num_partitions: int = 8):
@@ -312,74 +300,56 @@ ALGEBRA_OPS = {
 }
 
 
-def _algebra_combine(table: pa.Table, op: str) -> pa.Table:
-    """Per tkey-partition: pair each tile key's rank-0 (A) and rank-1
-    (B) images and apply the per-pixel op to the RGB bands (alpha
-    forced opaque — a band difference is data, not coverage). Tiles
-    present on only one side drop (inner-join semantics); mismatched
-    dimensions raise."""
+def _algebra_combine(a: pa.Table, b: pa.Table, op: str) -> pa.Table:
+    """Per tkey-partition: pair each tile key's A and B images and
+    apply the per-pixel op to the RGB bands (alpha forced opaque — a
+    band difference is data, not coverage). Tiles present on only one
+    side drop (inner-join semantics); duplicate tiles on one side and
+    mismatched dimensions raise."""
     fn = ALGEBRA_OPS[op]
-    empty = pa.table({
-        "z": pa.array([], type=pa.int64()),
-        "x": pa.array([], type=pa.int64()),
-        "y": pa.array([], type=pa.int64()),
-        "payload": pa.array([], type=pa.binary()),
-        "width": pa.array([], type=pa.int64()),
-        "height": pa.array([], type=pa.int64()),
-    })
-    if table.num_rows == 0:
-        return empty
-    tkey = np.asarray(table["tkey"], dtype=np.int64)
-    rank = np.asarray(table["src_rank"], dtype=np.int64)
-    widths = np.asarray(table["width"], dtype=np.int64)
-    heights = np.asarray(table["height"], dtype=np.int64)
-    payloads = table["payload"].to_pylist()
-    order = np.lexsort((rank, tkey))
-    zs, xs, ys, ps, ws, hs = [], [], [], [], [], []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and tkey[order[j]] == tkey[order[i]]:
-            j += 1
-        grp = order[i:j]
-        a_rows = [g for g in grp if rank[g] == 0]
-        b_rows = [g for g in grp if rank[g] == 1]
-        i = j
-        if len(a_rows) > 1 or len(b_rows) > 1:
-            z, x, y = unpack_tkey(tkey[grp[0]])
+    if not (a.num_rows and b.num_rows):
+        # inner join: nothing matches (an input with no rows may arrive
+        # column-less, so both sides take the other's empty schema)
+        a = b = (a if a.num_columns else b).slice(0, 0)
+    ka, kb = (np.asarray(t["tkey"], dtype=np.int64) for t in (a, b))
+    for k in (ka, kb):
+        k = np.sort(k)
+        dup = k[1:][k[1:] == k[:-1]]
+        if len(dup):
+            z, x, y = unpack_tkey(dup[0])
             raise ValueError(
                 f"raster_algebra: duplicate tile {int(z)}/{int(x)}/"
                 f"{int(y)} on one side — inputs must be tile-unique")
-        if not a_rows or not b_rows:
-            continue  # inner join: unmatched tile keys drop
-        ga, gb = a_rows[0], b_rows[0]
-        if (widths[ga], heights[ga]) != (widths[gb], heights[gb]):
-            z, x, y = unpack_tkey(tkey[ga])
-            raise ValueError(
-                f"raster_algebra: size mismatch at {int(z)}/{int(x)}/"
-                f"{int(y)}: {int(widths[ga])}x{int(heights[ga])} vs "
-                f"{int(widths[gb])}x{int(heights[gb])}")
-        a = raster.to_array(payloads[ga], int(widths[ga]), int(heights[ga]))
-        b = raster.to_array(payloads[gb], int(widths[gb]), int(heights[gb]))
-        out = np.empty_like(a)
-        out[..., :3] = fn(a[..., :3], b[..., :3])
+    # inner join: unmatched tile keys drop; rows in tile-key order
+    both, ia, ib = np.intersect1d(ka, kb, return_indices=True)
+    wa, ha = (np.asarray(a[c], dtype=np.int64)[ia] for c in ("width", "height"))
+    wb, hb = (np.asarray(b[c], dtype=np.int64)[ib] for c in ("width", "height"))
+    bad = np.flatnonzero((wa != wb) | (ha != hb))
+    if len(bad):
+        i = bad[0]
+        z, x, y = unpack_tkey(both[i])
+        raise ValueError(
+            f"raster_algebra: size mismatch at {int(z)}/{int(x)}/"
+            f"{int(y)}: {int(wa[i])}x{int(ha[i])} vs "
+            f"{int(wb[i])}x{int(hb[i])}")
+    pa_a = a["payload"].take(pa.array(ia, type=pa.int64())).to_pylist()
+    pa_b = b["payload"].take(pa.array(ib, type=pa.int64())).to_pylist()
+    ps = []
+    for i in range(len(both)):
+        img_a = raster.to_array(pa_a[i], int(wa[i]), int(ha[i]))
+        img_b = raster.to_array(pa_b[i], int(wa[i]), int(ha[i]))
+        out = np.empty_like(img_a)
+        out[..., :3] = fn(img_a[..., :3], img_b[..., :3])
         out[..., 3] = 255
-        z, x, y = unpack_tkey(tkey[ga])
-        zs.append(int(z))
-        xs.append(int(x))
-        ys.append(int(y))
         ps.append(raster.from_array(out))
-        ws.append(int(widths[ga]))
-        hs.append(int(heights[ga]))
-    if not zs:
-        return empty
+    z, x, y = unpack_tkey(both)
     return pa.table({
-        "z": pa.array(zs, type=pa.int64()),
-        "x": pa.array(xs, type=pa.int64()),
-        "y": pa.array(ys, type=pa.int64()),
+        "z": pa.array(z, type=pa.int64()),
+        "x": pa.array(x, type=pa.int64()),
+        "y": pa.array(y, type=pa.int64()),
         "payload": pa.array(ps, type=pa.binary()),
-        "width": pa.array(ws, type=pa.int64()),
-        "height": pa.array(hs, type=pa.int64()),
+        "width": pa.array(wa, type=pa.int64()),
+        "height": pa.array(ha, type=pa.int64()),
     })
 
 
@@ -395,28 +365,16 @@ def raster_algebra(a_ds, b_ds, op: str, num_partitions: int = 8):
     import functools
 
     from .exchange import hash_exchange
+    from .stack import tile_keyed
 
     if op not in ALGEBRA_OPS:
         raise ValueError(
             f"raster_algebra: op {op!r}: want one of {sorted(ALGEBRA_OPS)}")
-
-    def tag(batch: pa.Table, rank_val: int) -> pa.Table:
-        tkey = pack_tkey(np.asarray(batch["z"], dtype=np.int64),
-                         np.asarray(batch["x"], dtype=np.int64),
-                         np.asarray(batch["y"], dtype=np.int64))
-        batch = batch.select(["z", "x", "y", "payload", "width", "height"])
-        batch = batch.append_column("tkey", pa.array(tkey, type=pa.int64()))
-        return batch.append_column(
-            "src_rank", pa.array(np.full(len(tkey), rank_val),
-                                 type=pa.int64()))
-
-    union = a_ds.map_batches(functools.partial(tag, rank_val=0),
-                             batch_format="pyarrow").union(
-        b_ds.map_batches(functools.partial(tag, rank_val=1),
-                         batch_format="pyarrow"))
-    return hash_exchange(union, "tkey",
-                         functools.partial(_algebra_combine, op=op),
-                         num_partitions=num_partitions)
+    return hash_exchange(
+        tile_keyed([a_ds, b_ds],
+                   columns=["z", "x", "y", "payload", "width", "height"]),
+        "tkey", functools.partial(_algebra_combine, op=op),
+        num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------- focal

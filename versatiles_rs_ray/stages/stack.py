@@ -4,8 +4,9 @@ Reformulates the reference's stacked/merged read ops:
 
 - `from_stacked` (first non-null per tile across ranked sources,
   versatiles_pipeline/src/operations/read/from_stacked.rs:125-165)
-  becomes a *deterministic* min-reduction on an explicit rank column —
-  the reference relies on evaluation order, we carry the order in data
+  becomes a *deterministic* min-reduction on the source rank — the
+  reference relies on evaluation order, we carry the order in data: the
+  rank is the source's position among the exchange's inputs
   (SURVEY.md §7.4 hard part 1).
 - `from_merged_vector` (concatenate same-named layers per tile,
   from_merged_vector.rs:57-69) becomes an order-insensitive merge of
@@ -81,14 +82,19 @@ def first_wins(ds, rank_col="src_rank"):
     return combined.map_batches(finish, batch_format="pyarrow")
 
 
-def _stacked_tiles_combine(table: pa.Table) -> pa.Table:
-    """Per-partition: keep the minimum-rank row per tile key (payloads
-    travel with their rows).
+def _stacked_tiles_combine(*sources: pa.Table) -> pa.Table:
+    """Per-partition: keep the minimum-rank row per tile key, the rank
+    being the source's position (payloads travel with their rows).
 
     Deterministic even when a tile key repeats at the same rank: the
     lexsort carries a tertiary tie-break (doc_num when present, else a
     hash of the payload bytes) so the surviving row never depends on
     arrival order."""
+    table = pa.concat_tables(
+        [t.append_column("src_rank", pa.array(np.full(t.num_rows, r),
+                                              type=pa.int64()))
+         for r, t in enumerate(sources)],
+        promote_options="default")
     tkey = np.asarray(table["tkey"], dtype=np.int64)
     rank = np.asarray(table["src_rank"], dtype=np.int64)
     if "doc_num" in table.column_names:
@@ -115,14 +121,15 @@ def _stacked_tiles_combine(table: pa.Table) -> pa.Table:
 def stacked_tiles(sources, num_partitions: int = 8):
     """from_stacked over full tile rows: first-non-null per tile key
     across ranked sources, payload included
-    (from_stacked.rs:125-165 semantics; order carried as an explicit
-    rank column, SURVEY.md §7.4 hard part 1). ``sources`` = ordered
-    list of (z, x, y, payload, ...) Datasets, first wins.
+    (from_stacked.rs:125-165 semantics; order carried in data — each
+    source is its own exchange input and its position becomes the
+    output's ``src_rank``, SURVEY.md §7.4 hard part 1). ``sources`` =
+    ordered list of (z, x, y, payload, ...) Datasets, first wins.
     """
     from .exchange import hash_exchange
 
-    union = tag_ranked_sources(sources)
-    return hash_exchange(union, "tkey", _stacked_tiles_combine, num_partitions=num_partitions)
+    return hash_exchange(tile_keyed(sources), "tkey", _stacked_tiles_combine,
+                         num_partitions=num_partitions)
 
 
 def partial_merge_sources(batch: pa.Table, rank_col="src_rank") -> pa.Table:
@@ -203,53 +210,34 @@ def merge_sources(ds, rank_col="src_rank", source_names=None, num_partitions: in
     return combined.map_batches(finish, batch_format="pyarrow")
 
 
-def _diff_combine(table: pa.Table) -> pa.Table:
-    """Per tkey-partition: classify each tile key by side presence and
-    BYTE equality of the payloads — only_a / only_b / changed / same.
-    Fully vectorized (the module's no-per-group-Python discipline):
-    one lexsort, reduceat side counts, one Arrow pc.equal over the
-    aligned both-present payload pairs."""
+def _diff_combine(a: pa.Table, b: pa.Table) -> pa.Table:
+    """Per tkey-partition: classify each tile key by presence in A and
+    B and BYTE equality of the payloads — only_a / only_b / changed /
+    same. Fully vectorized (the module's no-per-group-Python
+    discipline): one sort per input, set ops on the keys, one Arrow
+    pc.equal over the aligned both-present payload pairs."""
     import pyarrow.compute as pc
 
-    from .assign import unpack_tkey
-
-    empty = pa.table({
-        "z": pa.array([], type=pa.int64()),
-        "x": pa.array([], type=pa.int64()),
-        "y": pa.array([], type=pa.int64()),
-        "status": pa.array([], type=pa.string()),
-    })
-    if table.num_rows == 0:
-        return empty
-    tkey = np.asarray(table["tkey"], dtype=np.int64)
-    rank = np.asarray(table["src_rank"], dtype=np.int64)
-    order = np.lexsort((rank, tkey))
-    tk = tkey[order]
-    rk = rank[order]
-    starts = np.flatnonzero(np.r_[True, tk[1:] != tk[:-1]])
-    ends = np.r_[starts[1:], len(tk)]
-    n_all = ends - starts
-    b_cnt = np.add.reduceat(rk, starts)
-    a_cnt = n_all - b_cnt
-    bad = np.flatnonzero((a_cnt > 1) | (b_cnt > 1))
-    if len(bad):
-        z, x, y = unpack_tkey(tk[starts[bad[0]]])
+    ak, a_order = _sorted_tkeys(a)
+    bk, b_order = _sorted_tkeys(b)
+    dup = np.concatenate([ak[1:][ak[1:] == ak[:-1]], bk[1:][bk[1:] == bk[:-1]]])
+    if len(dup):
+        z, x, y = unpack_tkey(dup.min())
         raise ValueError(
             f"diff_tiles: duplicate tile {int(z)}/{int(x)}/{int(y)} "
             "on one side — inputs must be tile-unique")
-    status = np.where(b_cnt == 0, "only_a",
-                      np.where(a_cnt == 0, "only_b", "same")).astype(object)
-    both = np.flatnonzero((a_cnt == 1) & (b_cnt == 1))
+    keys = np.union1d(ak, bk)
+    in_a, in_b = np.isin(keys, ak), np.isin(keys, bk)
+    status = np.where(~in_b, "only_a", np.where(~in_a, "only_b", "same")).astype(object)
+    both = np.flatnonzero(in_a & in_b)
     if len(both):
-        # sorted by (tkey, rank): the A row is the group start, B next
-        payload = table["payload"].combine_chunks()
-        a_idx = order[starts[both]]
-        b_idx = order[starts[both] + 1]
+        a_idx = a_order[np.searchsorted(ak, keys[both])]
+        b_idx = b_order[np.searchsorted(bk, keys[both])]
         eq = np.asarray(pc.equal(
-            payload.take(pa.array(a_idx, type=pa.int64())),
-            payload.take(pa.array(b_idx, type=pa.int64()))))
+            a["payload"].combine_chunks().take(pa.array(a_idx, type=pa.int64())),
+            b["payload"].combine_chunks().take(pa.array(b_idx, type=pa.int64()))))
         status[both[~eq]] = "changed"
-    z, x, y = unpack_tkey(tk[starts])
+    z, x, y = unpack_tkey(keys)
     return pa.table({
         "z": pa.array(z, type=pa.int64()),
         "x": pa.array(x, type=pa.int64()),
@@ -258,44 +246,47 @@ def _diff_combine(table: pa.Table) -> pa.Table:
     })
 
 
-def tag_ranked_sources(sources, columns=None):
-    """Shared tag/union topology for every tile co-group stage: pack
-    z/x/y into tkey, append the source rank, union — the input shape
-    of stacked_tiles, diff_tiles and stacked_raster's exchange."""
+def _sorted_tkeys(t: pa.Table):
+    """(sorted tile keys, the row order that sorts them); an input with
+    no rows may arrive column-less."""
+    tkey = np.asarray(t["tkey"] if t.num_rows else [], dtype=np.int64)
+    order = np.argsort(tkey, kind="stable")
+    return tkey[order], order
+
+
+def _add_tkey(batch: pa.Table, columns=None) -> pa.Table:
+    tkey = pack_tkey(
+        np.asarray(batch["z"], dtype=np.int64),
+        np.asarray(batch["x"], dtype=np.int64),
+        np.asarray(batch["y"], dtype=np.int64),
+    )
+    if columns is not None:
+        batch = batch.select(columns)
+    return batch.append_column("tkey", pa.array(tkey, type=pa.int64()))
+
+
+def tile_keyed(sources, columns=None):
+    """Each tile Dataset with z/x/y packed into ``tkey`` (optionally
+    cut to ``columns`` first) — the inputs of every tile co-group
+    (stacked_tiles, diff_tiles, stacked_raster, raster_algebra), whose
+    exchange keeps each source apart, in order."""
     import functools
 
-    def tag(batch: pa.Table, rank_val: int) -> pa.Table:
-        tkey = pack_tkey(
-            np.asarray(batch["z"], dtype=np.int64),
-            np.asarray(batch["x"], dtype=np.int64),
-            np.asarray(batch["y"], dtype=np.int64),
-        )
-        if columns is not None:
-            batch = batch.select(columns)
-        batch = batch.append_column("tkey", pa.array(tkey, type=pa.int64()))
-        return batch.append_column(
-            "src_rank", pa.array(np.full(len(tkey), rank_val),
-                                 type=pa.int64()))
-
-    union = None
-    for rank_val, src in enumerate(sources):
-        tagged = src.map_batches(functools.partial(tag, rank_val=rank_val),
-                                 batch_format="pyarrow")
-        union = tagged if union is None else union.union(tagged)
-    return union
+    return [src.map_batches(functools.partial(_add_tkey, columns=columns),
+                            batch_format="pyarrow")
+            for src in sources]
 
 
 def diff_tiles(a_ds, b_ds, num_partitions: int = 8):
     """Tile-pyramid diff — the incremental-update primitive: one row
     per tile key present on either side with status only_a / only_b /
-    changed (byte-unequal payloads) / same. ONE hash exchange on the
-    packed tile key (the stacked_raster topology: |A| + |B| rows
-    shuffled exactly once); payload comparison is exact bytes, so the
-    result is the minimal update set a re-publish needs to ship.
-    Duplicate tile keys on one side fail loudly."""
+    changed (byte-unequal payloads) / same. ONE hash exchange co-groups
+    A and B on the packed tile key (the stacked_raster topology:
+    |A| + |B| rows shuffled exactly once); payload comparison is exact
+    bytes, so the result is the minimal update set a re-publish needs
+    to ship. Duplicate tile keys on one side fail loudly."""
     from .exchange import hash_exchange
 
-    union = tag_ranked_sources([a_ds, b_ds],
-                               columns=["z", "x", "y", "payload"])
-    return hash_exchange(union, "tkey", _diff_combine,
-                         num_partitions=num_partitions)
+    return hash_exchange(
+        tile_keyed([a_ds, b_ds], columns=["z", "x", "y", "payload"]),
+        "tkey", _diff_combine, num_partitions=num_partitions)

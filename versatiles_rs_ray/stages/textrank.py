@@ -20,8 +20,9 @@ ITERATIVE graph algorithm with an exact DuckDB oracle.
 Distribution shape per iteration: one co-partitioned ``hash_join``
 (edges-by-src x ranks — the edge table is vocabulary-pairs-sized,
 far below corpus size) and one hash exchange summing contributions
-per destination; the node set rides along as zero-contribution rows
-so isolated-this-round nodes still receive the (1-d) base. Driver
+per destination; the node set co-groups with the contributions as
+that exchange's first input, so isolated-this-round nodes still
+receive the (1-d) base. Driver
 sees only the bounded top-n (per-block prune + merge).
 
 Overflow contract: contributions are exact while
@@ -92,22 +93,27 @@ def _contrib_batch(b: pa.Table) -> pa.Table:
     return t.append_column("_route", _route_str(t["token"]))
 
 
-def _sum_ranks(tbl: pa.Table) -> pa.Table:
+def _sum_ranks(nodes: pa.Table, contribs: pa.Table) -> pa.Table:
     """Per token-partition: new rank = base + sum of contributions.
-    Node rows (c = NODE sentinel) define the node set."""
-    if tbl.num_rows == 0:
+    The node rows (token) define the node set; contributions to a
+    token outside it drop."""
+    if nodes.num_rows == 0:
         return pa.table({"token": pa.array([], type=pa.string()),
                          "r": pa.array([], type=pa.int64()),
                          "_route": pa.array([], type=pa.int64())})
-    enc = tbl["token"].combine_chunks().dictionary_encode()
+    n_nodes = nodes.num_rows
+    chunks = nodes["token"].chunks
+    if contribs.num_rows:  # an input with no rows may arrive column-less
+        chunks += contribs["token"].chunks
+    enc = pa.chunked_array(chunks, type=nodes["token"].type) \
+        .combine_chunks().dictionary_encode()
     idx = np.asarray(enc.indices, dtype=np.int64)
-    c = np.asarray(tbl["c"], dtype=np.int64)
-    is_node = np.asarray(tbl["is_node"], dtype=np.int64).astype(bool)
     k = len(enc.dictionary)
     s = np.zeros(k, dtype=np.int64)
-    np.add.at(s, idx[~is_node], c[~is_node])
+    if contribs.num_rows:
+        np.add.at(s, idx[n_nodes:], np.asarray(contribs["c"], dtype=np.int64))
     node = np.zeros(k, dtype=bool)
-    node[idx[is_node]] = True
+    node[idx[:n_nodes]] = True
     out = pa.table({
         "token": enc.dictionary.take(pa.array(np.flatnonzero(node),
                                               type=pa.int64())),
@@ -154,23 +160,12 @@ def textrank(ds, window: int = 3, min_count: int = 1, iters: int = 5,
     for _ in range(iters):
         joined = hash_join(edges.drop_columns(["_route"]), ranks, on="src",
                            num_partitions=num_partitions)
-        contribs = joined.map_batches(_contrib_batch, batch_format="pyarrow") \
-            .map_batches(lambda b: b.append_column(
-                "is_node", pa.array(np.zeros(len(b), np.int64),
-                                    type=pa.int64())),
-                batch_format="pyarrow")
-
-        def node_rows(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "token": b["src"],
-                "c": pa.array(np.zeros(len(b), np.int64), type=pa.int64()),
-                "_route": _route_str(b["src"]),
-                "is_node": pa.array(np.ones(len(b), np.int64),
-                                    type=pa.int64()),
-            })
-
-        base = ranks.map_batches(node_rows, batch_format="pyarrow")
-        new_ranks = hash_exchange(contribs.union(base), "_route", _sum_ranks,
+        contribs = joined.map_batches(_contrib_batch, batch_format="pyarrow")
+        nodes = ranks.map_batches(
+            lambda b: pa.table({"token": b["src"],
+                                "_route": _route_str(b["src"])}),
+            batch_format="pyarrow")
+        new_ranks = hash_exchange([nodes, contribs], "_route", _sum_ranks,
                                   num_partitions=num_partitions)
         ranks = new_ranks.map_batches(
             lambda b: pa.table({"src": b["token"], "r": b["r"]}),
