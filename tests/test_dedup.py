@@ -162,7 +162,11 @@ def test_propagate_labels_exchange_matches_driver_unionfind(ray_session):
     pairs = [(1, 2), (2, 3), (3, 4), (4, 5),        # path -> component min 1
              (10, 11), (11, 12),                    # path -> 10
              (20, 21), (20, 22), (21, 22),          # clique -> 20
-             (30, 31)]
+             (30, 31),
+             # ids near 2^62: an int64 sum of their offers would wrap
+             (2**62 + 5, 2**62 + 3), (2**62 + 3, 2**62 + 9), (2**62 + 9, 2**62 + 1),
+             (-5, -9), (-9, -1), (-1, -100),        # negative ids -> -100
+             (7, 7)]                                # self-pair -> 7
     df = pd.DataFrame({"doc_a": [a for a, _ in pairs], "doc_b": [b for _, b in pairs]})
     want = dup_groups_driver(df).sort_values("doc_num").reset_index(drop=True)
 
@@ -174,6 +178,8 @@ def test_propagate_labels_exchange_matches_driver_unionfind(ray_session):
         .reset_index(drop=True)
     )
     assert got[["doc_num", "group_id"]].equals(want[["doc_num", "group_id"]])
+    # the convergence test's sum is exact where one int64 sum wraps
+    assert dedup._lab_sum(pa.table({"lab": [2**62] * 4 + [-3]})) == 2**64 - 3
 
     # and with the default partitioning (16 partitions)
     got2 = (

@@ -20,6 +20,7 @@ def _empty_docs():
 def test_hash_exchange_empty_keeps_post_combine_schema(ray_session):
     import ray.data as rd
 
+    from versatiles_rs_ray.stages.dedup import propagate_min_labels_exchange
     from versatiles_rs_ray.stages.exchange import hash_exchange
 
     # nested def: cloudpickle ships it by value (the test module is not
@@ -32,6 +33,15 @@ def test_hash_exchange_empty_keeps_post_combine_schema(ray_session):
                                     "route": pa.array([], type=pa.int64())}))
     out = hash_exchange(empty, "route", _double, num_partitions=4)
     assert out.schema().names == ["doubled"] and out.count() == 0
+
+    # connected components: rounds of the exchange over empty pairs
+    pairs = rd.from_arrow(pa.table({"doc_a": pa.array([1], type=pa.int64()),
+                                    "doc_b": pa.array([2], type=pa.int64())}))
+    out = propagate_min_labels_exchange(pairs.limit(0), num_partitions=4)
+    assert out.count() == 0 and out.schema().names == ["doc_num", "group_id"]
+    schemaless = rd.from_items([])
+    assert schemaless.schema() is None
+    assert propagate_min_labels_exchange(schemaless, num_partitions=4).count() == 0
 
 
 def test_topk_kernels_empty(ray_session):

@@ -115,6 +115,19 @@ def test_every_engine_name_has_a_production_caller():
     assert not stale, f"allowlisted but now called or gone, drop the entry: {stale}"
 
 
+def _engine_modules(marker: str):
+    """(ast, "module") of each engine source file that mentions ``marker``."""
+    for d, _, files in os.walk(os.path.join(ROOT, PKG)):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                with open(path) as fh:
+                    src = fh.read()
+                if marker in src:
+                    rel = os.path.relpath(path, ROOT)
+                    yield ast.parse(src, path), rel[len(PKG) + 1:-3].replace(os.sep, ".")
+
+
 # co-groups handed to hash_exchange as one union: "module.function" -> why
 UNION_FED = {
     "stages.cluster.within_join": "its pair kernel also serves the one-input "
@@ -152,19 +165,41 @@ def test_no_union_fed_exchange():
     """Inputs that share a partition go to hash_exchange as a list of
     Datasets (one table each in the combine), not as one union padded
     to a shared schema and tagged by side."""
-    found = set()
-    for d, _, files in os.walk(os.path.join(ROOT, PKG)):
-        for f in files:
-            if f.endswith(".py"):
-                path = os.path.join(d, f)
-                rel = os.path.relpath(path, ROOT)
-                with open(path) as fh:
-                    src = fh.read()
-                if "hash_exchange" in src:
-                    found |= _union_fed_exchanges(ast.parse(src, path),
-                                                  rel[len(PKG) + 1:-3].replace(os.sep, "."))
+    found = set().union(*(_union_fed_exchanges(tree, dotted)
+                          for tree, dotted in _engine_modules("hash_exchange")))
     assert not sorted(found - set(UNION_FED)), (
         f"union-fed hash_exchange: {sorted(found - set(UNION_FED))}; pass the "
         "inputs as a list instead")
     stale = sorted(set(UNION_FED) - found)
     assert not stale, f"allowlisted but no longer union-fed, drop the entry: {stale}"
+
+
+# engine functions that launch raw Ray tasks: "module.function" -> why
+RAW_TASKS = {
+    "stages.exchange.hash_exchange": "the exchange itself: its reduce wave",
+    "stages.exchange._stream_splits": "the exchange itself: its split tasks",
+    "stages.curate.deterministic_shuffle": "ranks sorted blocks in order",
+    "stages.curate.pack_sequences": "carries packing state over sorted blocks",
+    "stages.join.build_id_bloom": "tree-OR of per-block bitmaps",
+}
+
+
+def _raw_task_sites(tree, dotted: str):
+    """"module.name" of each top-level def/class whose body uses ``ray.remote``."""
+    return {f"{dotted}.{top.name}" for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and any(isinstance(n, ast.Attribute) and n.attr == "remote"
+                    and isinstance(n.value, ast.Name) and n.value.id == "ray"
+                    for n in ast.walk(top))}
+
+
+def test_raw_tasks_only_where_allowed():
+    """Everything else reaches Ray through the Dataset API or
+    hash_exchange; a new raw-task site needs an entry and a reason."""
+    found = set().union(*(_raw_task_sites(tree, dotted)
+                          for tree, dotted in _engine_modules("remote")))
+    assert not sorted(found - set(RAW_TASKS)), (
+        f"raw ray.remote tasks in {sorted(found - set(RAW_TASKS))}; use the "
+        "Dataset API or hash_exchange")
+    stale = sorted(set(RAW_TASKS) - found)
+    assert not stale, f"allowlisted but no longer launches raw tasks, drop the entry: {stale}"

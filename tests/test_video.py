@@ -411,6 +411,7 @@ def test_mov_hand_packed_fixture():
     byte by byte from the public 14496-12 box layout — two JPEG
     samples split across TWO chunks (exercising the stsc run
     expansion), 64-bit co64 offsets, and an stts with two runs."""
+    from versatiles_rs_ray.core.formats import sniff_format
     from versatiles_rs_ray.core.jpeg import encode_jpeg
     from versatiles_rs_ray.core.mov import decode_mov_frame, parse_mov
 
@@ -452,11 +453,14 @@ def test_mov_hand_packed_fixture():
         return moov
 
     m0 = lay(0, 0)
-    base = len(m0) + 8
     gap = b"\xee" * 5  # junk between the two chunks
-    moov = lay(base, base + len(s0) + len(gap))
-    data = moov + box(b"mdat", s0 + gap + s1)
 
+    def build(lead):
+        base = len(lead) + len(m0) + 8
+        moov = lay(base, base + len(s0) + len(gap))
+        return lead + moov + box(b"mdat", s0 + gap + s1)
+
+    data = build(b"")
     info = parse_mov(data)
     assert (info.width, info.height, info.n_frames) == (8, 8, 2)
     assert info.timescale == 1000
@@ -465,6 +469,14 @@ def test_mov_hand_packed_fixture():
     b = decode_mov_frame(data, info, 1)
     assert abs(int(a[4, 4, 0]) - 200) <= 4 and int(a[4, 4, 2]) <= 8
     assert abs(int(b[4, 4, 2]) - 150) <= 4 and int(b[4, 4, 0]) <= 8
+
+    # a leading 8-byte 'free' box: still sniffed as MOV, same frames
+    padded = build(box(b"free", b""))
+    assert sniff_format(data) == sniff_format(padded) == "mov"
+    pinfo = parse_mov(padded)
+    assert pinfo.times.tolist() == [0, 100]
+    assert np.array_equal(decode_mov_frame(padded, pinfo, 0), a)
+    assert np.array_equal(decode_mov_frame(padded, pinfo, 1), b)
 
 
 def test_mov_entry_count_overruns_box():

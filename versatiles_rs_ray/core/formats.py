@@ -61,8 +61,8 @@ def sniff_format(payload: bytes) -> str:
     # (4 arbitrary bytes), so it ranks below every leading-magic
     # format above — an MVT/JSON payload whose bytes 4:8 happen to
     # spell 'mdat' must not be misrouted to the video demuxer
-    if len(payload) > 11 and payload[4:8] in (b"ftyp", b"moov", b"mdat",
-                                              b"wide", b"skip"):
+    if len(payload) > 11 and payload[4:8] in (b"ftyp", b"moov", b"mdat", b"wide",
+                                              b"skip", b"free", b"styp", b"pnot"):
         return "mov"
     return "bin"
 

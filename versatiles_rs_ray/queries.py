@@ -1050,9 +1050,9 @@ def q_ngram_jaccard(sf_dir):
 
 def q_dup_components(sf_dir):
     """Duplicate-document components over the exact n-gram near-dup
-    pairs: distributed co-partitioned min-label propagation with no
-    driver label map (stages/dedup.propagate_min_labels_exchange —
-    converges or raises)."""
+    pairs: distributed min-label propagation in rounds of the one hash
+    exchange, with no driver label map
+    (stages/dedup.propagate_min_labels_exchange — converges or raises)."""
     pairs = dedup.ngram_jaccard_pairs(_docs(sf_dir), k=NGRAM_K,
                                       threshold=NGRAM_TAU)
     return dedup.propagate_min_labels_exchange(pairs)
@@ -4791,7 +4791,9 @@ def _oracle_curate_e2e():
         "AS h4 FROM s4), "
         "s6 AS (SELECT doc_id, lang, source, n_chars, "
         "CAST(xor(h4, h4 >> 33) >> 1 AS BIGINT) AS ord_id FROM s5), "
-        "ranked AS (SELECT doc_id, lang, source, n_chars, "
+        # MATERIALIZED: the recursive rec joins ranked once per output
+        # row, which would otherwise re-run everything above it
+        "ranked AS MATERIALIZED (SELECT doc_id, lang, source, n_chars, "
         "row_number() OVER (ORDER BY "
         f"(ord_id::HUGEINT * {_SHUFFLE_MULT}) % {_SHUFFLE_MOD}::HUGEINT, "
         "ord_id) - 1 AS shuffle_rank FROM s6), "

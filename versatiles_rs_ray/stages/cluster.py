@@ -18,8 +18,9 @@ Stages, all on existing engine primitives:
 2. degrees -> core flags: one hash exchange counting pairs per src;
    core iff deg + 1 >= min_pts (the classic |N_eps(p)| includes p).
 3. core-core edges -> clusters: the engine's distributed min-label
-   propagation (stages/dedup.propagate_min_labels_exchange); cluster
-   id = min doc_num in the component. Isolated cores become singleton
+   propagation, rounds of the one hash exchange
+   (stages/dedup.propagate_min_labels_exchange); cluster id = min
+   doc_num in the component. Isolated cores become singleton
    clusters (their own id) via a co-partitioned anti-join.
 4. border points (non-core with >= 1 core neighbor) join the MINIMUM
    cluster id among their core neighbors — the deterministic variant

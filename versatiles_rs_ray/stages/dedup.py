@@ -1024,190 +1024,107 @@ def ngram_jaccard_pairs(
     return totals.map_batches(finish, batch_format="pyarrow")
 
 
-# ---- distributed connected components (co-partitioned propagation) -----
+# ---- distributed connected components (edge-offer rounds) --------------
+
+_OFFERS = pa.schema([("doc_num", pa.int64()), ("nbr", pa.int64()), ("lab", pa.int64())])
+_GROUPS = pa.schema([("doc_num", pa.int64()), ("group_id", pa.int64())])
 
 
-def _edges_rows(table: pa.Table) -> pa.Table:
+def _offer_rows(table: pa.Table) -> pa.Table:
+    """One row per directed edge; a doc's first offer is its neighbour's id."""
+    if not table.num_rows:
+        return _OFFERS.empty_table()
     a = np.asarray(table["doc_a"], dtype=np.int64)
     b = np.asarray(table["doc_b"], dtype=np.int64)
-    return pa.table(
-        {
-            "src": pa.array(np.concatenate([a, b]), type=pa.int64()),
-            "dst": pa.array(np.concatenate([b, a]), type=pa.int64()),
-        }
-    )
+    nbr = np.concatenate([b, a])
+    return pa.table([np.concatenate([a, b]), nbr, nbr], schema=_OFFERS)
 
 
-def _split_by(table: pa.Table, col: str, p: int):
-    """One routing implementation for the whole engine: the exchange's
-    split (same hash, same slicing) — co-partitioning of labels and
-    edges is guaranteed by construction, not by parallel code."""
-    from .exchange import _split_block
-
-    return _split_block(col, p, table)
-
-
-def _cc_edges_split(p: int, *tables):
-    """Route edge rows by hash(dst) — static across rounds."""
-    t = pa.concat_tables([x for x in tables if x.num_rows], promote_options="default") \
-        if any(x.num_rows for x in tables) else tables[0]
-    return _split_by(t, "dst", p)
+def _doc_labels(t: pa.Table):
+    """-> (row order by doc, where each doc's run starts in that order,
+    each doc's label = min(doc, its offers))."""
+    doc = np.asarray(t["doc_num"], dtype=np.int64)
+    order = np.argsort(doc, kind="stable")
+    sdoc = doc[order]
+    starts = np.flatnonzero(np.r_[True, sdoc[1:] != sdoc[:-1]])
+    offers = np.minimum.reduceat(np.asarray(t["lab"], dtype=np.int64)[order], starts)
+    return order, starts, np.minimum(sdoc[starts], offers)
 
 
-def _cc_init_labels(p: int, *tables):
-    """Initial labels (doc=src, label=min(src,dst)) routed by hash(doc),
-    combined per doc within this partition's slice."""
-    ok = [x for x in tables if x.num_rows]
-    if not ok:
-        empty = pa.table({"doc_num": pa.array([], type=pa.int64()),
-                          "label": pa.array([], type=pa.int64())})
-        return tuple(empty for _ in range(p))
-    t = pa.concat_tables(ok, promote_options="default")
-    src = np.asarray(t["src"], dtype=np.int64)
-    dst = np.asarray(t["dst"], dtype=np.int64)
-    lab = pa.table(
-        {
-            "doc_num": pa.array(src, type=pa.int64()),
-            "label": pa.array(np.minimum(src, dst), type=pa.int64()),
-        }
-    )
-    return tuple(_cc_min_by_doc(x) for x in _split_by(lab, "doc_num", p))
+def _cc_round(t: pa.Table) -> pa.Table:
+    """Label every doc, then send each edge row back along itself
+    carrying its doc's label as the neighbour's next offer."""
+    if not t.num_rows:
+        return _OFFERS.empty_table()
+    order, starts, label = _doc_labels(t)
+    counts = np.diff(np.r_[starts, len(order)])
+    return pa.table([np.asarray(t["nbr"], dtype=np.int64)[order],
+                     np.asarray(t["doc_num"], dtype=np.int64)[order],
+                     np.repeat(label, counts)], schema=_OFFERS)
 
 
-def _cc_min_by_doc(table: pa.Table) -> pa.Table:
-    doc = np.asarray(table["doc_num"], dtype=np.int64)
-    lab = np.asarray(table["label"], dtype=np.int64)
-    if not len(doc):
-        return table
-    uniq, inv = np.unique(doc, return_inverse=True)
-    mn = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(mn, inv, lab)
-    return pa.table(
-        {"doc_num": pa.array(uniq, type=pa.int64()), "label": pa.array(mn, type=pa.int64())}
-    )
+def _cc_groups(t: pa.Table) -> pa.Table:
+    if not t.num_rows:
+        return _GROUPS.empty_table()
+    order, starts, label = _doc_labels(t)
+    doc = np.asarray(t["doc_num"], dtype=np.int64)[order[starts]]
+    return pa.table([doc, label], schema=_GROUPS)
 
 
-def _cc_merge_labels(*slices):
-    ok = [s for s in slices if s.num_rows]
-    if not ok:
-        return slices[0]
-    return _cc_min_by_doc(pa.concat_tables(ok, promote_options="default"))
-
-
-def _cc_merge_edges(*slices):
-    """One-time per-partition edge concat, so the static edge set is
-    a SINGLE object per partition: the round loop stops re-fetching
-    and re-concatenating the same immutable slices every round."""
-    ok = [s for s in slices if s.num_rows]
-    if not ok:
-        return slices[0]
-    if len(ok) == 1:
-        return ok[0]
-    return pa.concat_tables(ok, promote_options="default").combine_chunks()
-
-
-def _cc_join_flow(labels_p: pa.Table, p: int, *edges_slices):
-    """One round, join side: label(dst) flows to src; outputs split by
-    hash(src). Co-partitioning guarantees every dst in edges_p has its
-    label in labels_p (same hash, same p)."""
-    ok = [e for e in edges_slices if e.num_rows]
-    if not ok or labels_p.num_rows == 0:
-        empty = pa.table({"doc_num": pa.array([], type=pa.int64()),
-                          "label": pa.array([], type=pa.int64())})
-        return tuple(empty for _ in range(p))
-    edges_p = ok[0] if len(ok) == 1 else pa.concat_tables(ok, promote_options="default")
-    dst = np.asarray(edges_p["dst"], dtype=np.int64)
-    src = np.asarray(edges_p["src"], dtype=np.int64)
-    docs = np.asarray(labels_p["doc_num"], dtype=np.int64)  # sorted (from _cc_min_by_doc)
-    labs = np.asarray(labels_p["label"], dtype=np.int64)
-    pos = np.searchsorted(docs, dst)
-    pos = np.minimum(pos, len(docs) - 1)
-    lab = labs[pos]
-    flowed = pa.table(
-        {"doc_num": pa.array(src, type=pa.int64()), "label": pa.array(lab, type=pa.int64())}
-    )
-    return tuple(_cc_min_by_doc(x) for x in _split_by(flowed, "doc_num", p))
-
-
-def _cc_combine(labels_p: pa.Table, *flow_slices):
-    """One round, reduce side: new label = min(old, flowed); returns
-    (new_labels, n_changed)."""
-    parts = [labels_p, *[s for s in flow_slices if s.num_rows]]
-    merged = _cc_min_by_doc(pa.concat_tables(parts, promote_options="default"))
-    # changed count vs old (docs never appear/disappear across rounds)
-    old_doc = np.asarray(labels_p["doc_num"], dtype=np.int64)
-    old_lab = np.asarray(labels_p["label"], dtype=np.int64)
-    new_lab = np.asarray(merged["label"], dtype=np.int64)
-    changed = int((old_lab != new_lab).sum()) if len(old_doc) == len(new_lab) else len(new_lab)
-    return merged, changed
+def _lab_sum(t: pa.Table) -> int:
+    """Exact sum of ``lab``: the int64 halves summed apart cannot wrap
+    below 2^31 rows, where one int64 sum of ids near 2^62 would."""
+    if not t.num_rows:
+        return 0
+    lab = np.asarray(t["lab"], dtype=np.int64)
+    return (int((lab >> 32).sum()) << 32) + int((lab & 0xFFFFFFFF).sum())
 
 
 def propagate_min_labels_exchange(pairs_ds, max_rounds: int = 64, num_partitions: int = 16):
-    """Distributed connected components with NO driver-side label map.
+    """Distributed connected components with NO driver-side label map:
+    (doc_num, group_id), group_id = the smallest doc_num of the component.
 
-    Labels and edges share one hash partitioning (co-partitioned
-    join): each round, partition p joins its dst-routed edges against
-    its labels (searchsorted — labels are sorted per partition), the
-    flowed (src, label) rows split back by hash(src), and a reduce
-    takes per-doc mins. The driver only ever sees P change-counts per
-    round; no broadcast label dict. Equality with a driver-side
+    Each pair becomes two rows ``(doc_num, nbr, lab)``, one per
+    direction, whose first offer is ``lab = nbr``. A round is one
+    ``hash_exchange`` on doc_num: every doc's label becomes
+    min(doc_num, its offers), and each row goes back reversed,
+    ``(doc_num=nbr, nbr=doc_num, lab=label)``, as that neighbour's
+    next offer. After round r a doc's label is the smallest id within
+    r hops, so labels never rise. Every doc owns a row per edge end, so
+    the sum of ``lab`` over all rows weights each doc's label by its
+    degree (at least 1): the sum falls if and only if some label
+    changed. Each reduce returns its partition's exact (non-wrapping)
+    sum as the exchange's aux output; the driver only ever sees P
+    integers per round. The loop stops at the first round whose sum
+    equals the previous one, and a last exchange runs only the label
+    step to emit one row per doc. Equality with a driver-side
     union-find is pytest-verified.
 
-    Runs until a full round changes nothing (min-label propagation
-    needs O(component diameter) rounds); ``max_rounds`` is a safety
-    cap and exhausting it RAISES rather than silently returning
-    unconverged labels.
+    The first round turns neighbour ids into labels; ``max_rounds``
+    caps the rounds after it, so a component converges when every doc
+    is at most ``max_rounds`` hops from its smallest id. Exhausting the
+    cap RAISES rather than silently returning unconverged labels.
     """
     import ray
     import ray.data as rd
 
-    p = num_partitions
-    edges_rows = pairs_ds.map_batches(_edges_rows, batch_format="pyarrow")
-    refs = edges_rows.to_arrow_refs()
-    if not refs:
-        return rd.from_arrow(
-            pa.table({"doc_num": pa.array([], type=pa.int64()),
-                      "group_id": pa.array([], type=pa.int64())})
-        )
-    split_edges = ray.remote(num_returns=p)(_cc_edges_split)
-    init_labels = ray.remote(num_returns=p)(_cc_init_labels)
-    merge_labels = ray.remote(_cc_merge_labels)
-    join_flow = ray.remote(num_returns=p)(_cc_join_flow)
-    combine = ray.remote(num_returns=2)(_cc_combine)
+    from .exchange import hash_exchange
 
-    # shard the one-time split/init over ref groups so no single task
-    # holds the whole edge set
-    groups = [refs[i : i + 8] for i in range(0, len(refs), 8)]
-    edge_lists = [split_edges.remote(p, *g) for g in groups]
-    init_lists = [init_labels.remote(p, *g) for g in groups]
-    merge_edges = ray.remote(_cc_merge_edges)
-    edge_parts = [merge_edges.remote(*[el[i] for el in edge_lists])
-                  for i in range(p)]
-    label_parts = [merge_labels.remote(*[il[i] for il in init_lists]) for i in range(p)]
-    changed = None
-    for _ in range(max_rounds):
-        flow_lists = [
-            join_flow.remote(label_parts[i], p, edge_parts[i]) for i in range(p)
-        ]
-        outs = [
-            combine.remote(label_parts[q], *[fl[q] for fl in flow_lists])
-            for q in range(p)
-        ]
-        label_parts = [o[0] for o in outs]
-        changed = sum(ray.get([o[1] for o in outs]))
-        if changed == 0:
-            break
-    if changed:
-        raise RuntimeError(
-            f"label propagation did not converge in {max_rounds} rounds "
-            f"({changed} labels still changing); raise max_rounds — a "
-            f"component's diameter exceeds the cap"
-        )
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_num": t["doc_num"], "group_id": t["label"]})
-
-    return rd.from_arrow_refs(label_parts).map_batches(rename, batch_format="pyarrow")
+    offers = pairs_ds.map_batches(_offer_rows, batch_format="pyarrow")
+    prev = None
+    for _ in range(max_rounds + 1):
+        offers, sums = hash_exchange(offers, "doc_num", _cc_round, num_partitions,
+                                     aux_fn=_lab_sum)
+        if not sums:
+            return rd.from_arrow(_GROUPS.empty_table())
+        total = sum(ray.get(sums))
+        if total == prev:
+            return hash_exchange(offers, "doc_num", _cc_groups, num_partitions)
+        prev = total
+    raise RuntimeError(
+        f"label propagation did not converge in {max_rounds} rounds; raise "
+        f"max_rounds — a component's diameter exceeds the cap"
+    )
 
 
 # ---- benchmark decontamination (eval-overlap removal) -------------------

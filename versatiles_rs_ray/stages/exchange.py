@@ -3,10 +3,14 @@
 Ray Data's sort-based groupby costs ~60s to exchange 40M small rows on
 this box; the aggregation pattern here (combine-by-key where partials
 are already per-block combined) needs only a hash partition + per-
-partition merge. This is the one place the engine drops below the
-Dataset API (SURVEY.md §7.0: raw tasks as a last resort), and it keeps
-the Dataset contract at the output: a Dataset via ``from_arrow_refs``
-— blocks never touch the driver.
+partition merge. The engine drops below the Dataset API (SURVEY.md
+§7.0: raw tasks as a last resort) here and in three other places:
+``stages/curate.deterministic_shuffle`` and ``pack_sequences``, which
+rank or carry state over sorted blocks in order, and
+``stages/join.build_id_bloom``, a tree-OR of per-block bitmaps;
+``tests/test_engine_surface.py`` fails on any other raw-task site. The
+exchange keeps the Dataset contract at the output: a Dataset via
+``from_arrow_refs`` — blocks never touch the driver.
 
 One entry point, ``hash_exchange``, with one split source: a
 Dataset's blocks, streamed into split tasks as the upstream pipeline
