@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 
@@ -5,6 +7,12 @@ import pytest
 def ray_session():
     import ray
 
+    # Ray workers inherit PYTHONPATH, not the driver's sys.path: without
+    # it a Ray Data actor class from tests/oracles.py waits forever on
+    # workers that cannot import it instead of failing
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.abspath(__file__)),
+                    os.environ.get("PYTHONPATH")) if p)
     ray.init(
         address="local",
         num_cpus=4,

@@ -4,6 +4,7 @@ schema-correct empty result instead of crashing or leaking
 pre-combine columns (round-3 deep-review findings)."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -42,6 +43,15 @@ def test_hash_exchange_empty_keeps_post_combine_schema(ray_session):
     schemaless = rd.from_items([])
     assert schemaless.schema() is None
     assert propagate_min_labels_exchange(schemaless, num_partitions=4).count() == 0
+
+    # pandas-backed empty inputs: map_batches passes the empty
+    # DataFrame block through uncalled, so the split sees a DataFrame
+    df = pd.DataFrame({"x": [1], "route": [2]}).iloc[:0]
+    out = hash_exchange(rd.from_pandas(df).map_batches(lambda t: t, batch_format="pyarrow"),
+                        "route", _double, num_partitions=4)
+    assert out.count() == 0
+    pairs_df = pd.DataFrame({"doc_a": [1], "doc_b": [2]}).iloc[:0]
+    assert propagate_min_labels_exchange(rd.from_pandas(pairs_df), num_partitions=4).count() == 0
 
 
 def test_topk_kernels_empty(ray_session):

@@ -158,6 +158,19 @@ def test_pyramid_single_shuffle_equals_hierarchical(ray_session, sf_dir):
     assert int(single[single.z == 0]["n_docs"].iloc[0]) == 500
 
 
+def test_pyramid_partitions_scale_with_split_level(ray_session, sf_dir):
+    """A pyramid shallower than split_level gets 4x fewer exchange
+    partitions per missing level (no fewer than 2); at or above it the
+    caller's num_buckets stands. z_min >= split_level keeps the driver
+    tail's extra block out of the count."""
+    for z_base, z_min, kw, blocks in ((3, 3, {}, 2), (4, 4, {}, 4), (8, 6, {}, 64),
+                                      (6, 6, {"split_level": 3, "num_buckets": 8}, 8)):
+        docs = assign.assign_tiles(_ray_docs(ray_session, sf_dir), z_base)
+        out = pyr.aggregate_pyramid_spatial(docs, z_base, z_min, **kw)
+        assert out.num_blocks() == blocks, (z_base, kw)
+        assert _pyramid_zxy(out.to_pandas()).equals(_rollup_oracle(docs, z_base, z_min))
+
+
 def test_pyramid_fused_equals_dataset_path(ray_session, sf_dir):
     """Spec-fed pyramid == Dataset-fed spatial pyramid, column for
     column (the spec-fed entry is what the bench runs), both honour

@@ -140,6 +140,23 @@ def test_write_level_commit_guard(ray_session, sf_dir, tmp_path, monkeypatch):
     assert _read_sorted(out).equals(_read_sorted(clean))
 
 
+def test_pyramid_reads_only_aggregated_columns(ray_session, sf_dir, tmp_path, monkeypatch):
+    """Both pipeline entries read docs pruned to the four columns the
+    pyramid aggregates: no span structs, text or id strings."""
+    seen = []
+    assign_tiles = P.assign_tiles
+
+    def recording_assign(ds, zoom, **kwargs):
+        seen.append(ds.schema().names)
+        return assign_tiles(ds, zoom, **kwargs)
+
+    monkeypatch.setattr(P, "assign_tiles", recording_assign)
+    P.build_pyramid(sf_dir, z_base=3)
+    rec = build_and_write_pyramid(sf_dir, str(tmp_path / "pyr"), z_base=3)
+    assert sorted(rec) == [f"z={z}" for z in range(4)]
+    assert seen == [["doc_num", "lon", "lat", "n_spans"]] * 2
+
+
 def _read_sorted(out_dir):
     df = read_pyramid(out_dir).to_pandas()
     return df.sort_values(["z", "x", "y"]).reset_index(drop=True)

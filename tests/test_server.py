@@ -307,6 +307,36 @@ def test_sniff_format_riff_wav_not_webp():
     assert sniff_format(b"\x1a\x05hello") == "mvt"
 
 
+def test_svg_topojson_mime():
+    """SVG sniffs from a leading <svg or an XML prolog followed by one;
+    a bare XML prolog stays bin. The MIME types are the reference's."""
+    from versatiles_rs_ray.core.formats import FORMAT_MIME, sniff_format, sniff_mime
+
+    assert sniff_format(b'<svg xmlns="http://www.w3.org/2000/svg"/>') == "svg"
+    assert sniff_format(b'<?xml version="1.0"?>\n<svg xmlns="x"/>') == "svg"
+    assert sniff_format(b'<?xml version="1.0"?>\n<VRTDataset/>') == "bin"
+    assert sniff_format(b"<?xml") == "bin"
+    assert sniff_mime(b"<svg/>") == "image/svg+xml"
+    assert sniff_mime(b"{}", "topojson") == FORMAT_MIME["topojson"] == "application/topo+json"
+
+
+def test_server_svg_source_mime():
+    """A source whose fmt_hint is svg is served as image/svg+xml."""
+    import urllib.request
+
+    from oracles import MemTileSource
+
+    srv = TileServer()
+    srv.sources["s"] = MemTileSource("s", {(0, 0, 0): b"<svg/>"}, fmt_hint="svg")
+    url = srv.start()
+    try:
+        r = urllib.request.urlopen(f"{url}/tiles/s/0/0/0", timeout=10)
+        assert r.headers["Content-Type"] == "image/svg+xml"
+        assert r.read() == b"<svg/>"
+    finally:
+        srv.shutdown()
+
+
 def test_server_brotli_tiles(debug_ds, tmp_path):
     """br-stored container: passthrough for br-accepting clients,
     decoded for identity clients — never raw-bytes-with-no-header."""

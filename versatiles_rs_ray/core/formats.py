@@ -25,6 +25,8 @@ FORMAT_MIME = {
     "pbf": "application/x-protobuf",
     "json": "application/json",
     "geojson": "application/geo+json",
+    "topojson": "application/topo+json",
+    "svg": "image/svg+xml",
     "bin": "application/octet-stream",
 }
 
@@ -34,7 +36,9 @@ def sniff_format(payload: bytes) -> str:
 
     WEBP requires the full RIFF....WEBP signature — a bare RIFF prefix
     is WAV/AVI, not an image. MVT is recognized by its layer field tag
-    (field 3, wire type 2)."""
+    (field 3, wire type 2). SVG is a leading ``<svg``, or an ``<?xml``
+    prolog with ``<svg`` in the first 256 bytes; any other XML (a VRT,
+    say) stays 'bin'."""
     if payload[:4] == b"\x89PNG":
         return "png"
     if payload[:3] == b"\xff\xd8\xff":
@@ -57,6 +61,8 @@ def sniff_format(payload: bytes) -> str:
         return "mvt"
     if payload[:1] in (b"{", b"["):
         return "json"
+    if payload[:4] == b"<svg" or (payload[:5] == b"<?xml" and b"<svg" in payload[:256]):
+        return "svg"
     # ISO-BMFF / QuickTime: a box fourcc at offset 4 is a WEAK signal
     # (4 arbitrary bytes), so it ranks below every leading-magic
     # format above — an MVT/JSON payload whose bytes 4:8 happen to

@@ -3,7 +3,7 @@
 The Ray-Data restatement of `versatiles convert` (SURVEY.md §3.1) for
 the graft's spatial-join + tiling engine:
 
-  read docs (derived spans table)
+  read docs pruned to doc_num/lon/lat/n_spans   [no span structs built]
     -> AssignTiles(z_base)                    [stateless map_batches]
     -> every level z_base..z_min at once      [per-block partials + one
                                                spatially routed exchange]
@@ -48,10 +48,18 @@ def finalize_level(batch: pa.Table, block_bits=8) -> pa.Table:
     )
 
 
+def _base_tile_docs(sf_dir: str, z_base: int, replicate: int):
+    """Docs with their z_base tile, read pruned to the four columns the
+    pyramid aggregates: ``n_spans`` is derived without the span
+    structs, which are most of a full doc row's bytes."""
+    docs = read_docs(sf_dir, replicate=replicate, columns=["doc_num", "lon", "lat", "n_spans"])
+    return assign_tiles(docs, z_base)
+
+
 def build_pyramid(sf_dir: str, z_base: int, z_min: int = 0, replicate: int = 1):
     """Lazy full pyramid (all levels, one shuffle) as a single Dataset."""
-    docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
-    tiles = aggregate_pyramid_spatial(docs, z_base, z_min)
+    tiles = aggregate_pyramid_spatial(_base_tile_docs(sf_dir, z_base, replicate),
+                                      z_base, z_min)
     return tiles.map_batches(finalize_level, batch_format="pyarrow")
 
 
@@ -85,9 +93,9 @@ def build_and_write_pyramid(
     if not missing:
         return records
 
-    docs = assign_tiles(read_docs(sf_dir, replicate=replicate), z_base)
     _write_level(manifest, records, missing,
-                 aggregate_pyramid_spatial(docs, z_base, z_min))
+                 aggregate_pyramid_spatial(_base_tile_docs(sf_dir, z_base, replicate),
+                                           z_base, z_min))
     return records
 
 

@@ -52,16 +52,18 @@ def _bucket_of(keys: np.ndarray, num_partitions: int) -> np.ndarray:
 def _split_block(key_col: str, num_partitions: int, *tables):
     ok = []
     for t in tables:
-        if not t.num_rows:
+        if not len(t):  # an empty pandas-backed input passes its DataFrame block through
             continue
         if key_col not in t.column_names:
             raise ValueError(f"hash_exchange: key column {key_col!r} missing "
                              f"from a block with columns {t.column_names}")
         ok.append(t)
     if not ok:
-        # Ray emits schema-less empty blocks for empty inputs; route an
-        # empty slice everywhere so concat/reduce schemas stay sane.
-        empty = tables[0].slice(0, 0)
+        # Ray emits schema-less (or pandas) empty blocks for empty
+        # inputs; route an empty Arrow slice everywhere so concat/reduce
+        # schemas stay sane.
+        empty = next((t.slice(0, 0) for t in tables if isinstance(t, pa.Table)),
+                     pa.table({}))
         return tuple(empty for _ in range(num_partitions))
     table = ok[0] if len(ok) == 1 else pa.concat_tables(ok).combine_chunks()
     keys = np.asarray(table[key_col], dtype=np.int64)

@@ -194,6 +194,12 @@ def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level:
     num_buckets partitions; a pathologically hot single cell bounds a
     partition at (docs in cell / blocks) partial rows — the per-block
     combiner still caps shuffle volume.
+
+    A pyramid shallower than ``split_level`` routes by its z_base
+    cells, 4x fewer per missing level, so ``num_buckets`` shrinks by
+    the same factor (to no fewer than 2): the caller's cells per
+    partition stay the same, and a z3 pyramid (64 cells) runs 2 reduce
+    and write tasks rather than 64 of one cell or none.
     """
     import functools
 
@@ -202,7 +208,10 @@ def aggregate_pyramid_spatial(docs_ds, z_base: int, z_min: int = 0, split_level:
 
     from .exchange import hash_exchange
 
-    split_level = min(split_level, z_base)
+    if split_level > z_base:
+        # 4x fewer routing cells per level short of split_level
+        num_buckets = max(2, num_buckets >> 2 * (split_level - z_base))
+        split_level = z_base
     partials = docs_ds.map_batches(
         functools.partial(_routed_partials, z_base=z_base, shift=z_base - split_level),
         batch_format="pyarrow",
