@@ -180,7 +180,6 @@ RAW_TASKS = {
     "stages.exchange._stream_splits": "the exchange itself: its split tasks",
     "stages.curate.deterministic_shuffle": "ranks sorted blocks in order",
     "stages.curate.pack_sequences": "carries packing state over sorted blocks",
-    "stages.join.build_id_bloom": "tree-OR of per-block bitmaps",
 }
 
 

@@ -362,10 +362,14 @@ def test_hash_join_string_keys_and_validation(ray_session):
     assert out[["k", "iv", "nv"]].values.tolist() == [[2, 2, 5]]
 
 
-# ---- Bloom runtime filter (anti_join_ids) ----------------------------------
+# ---- anti_join_ids ----------------------------------------------------------
 
 
 def test_anti_join_bloom_equals_exact(ray_session):
+    """anti_join_ids equals a numpy set difference: ~14% dropped, an
+    empty drop side, every row dropped and drop ids absent from ds,
+    at 2 and 4 partitions; the 0-row outputs keep ds's schema."""
+    import ray
     import ray.data as rd
 
     rng = np.random.default_rng(3)
@@ -374,33 +378,45 @@ def test_anti_join_bloom_equals_exact(ray_session):
         "doc_num": pa.array(ids),
         "v": pa.array(ids * 3),
     }))
-    drops = rd.from_arrow(pa.table({
-        "doc_num": pa.array(ids[::7]),  # ~14% dropped
-    }))
-    plain = join.anti_join_ids(base, drops, "doc_num",
-                               num_partitions=4).to_pandas()
-    bloom = join.anti_join_ids(base, drops, "doc_num", num_partitions=4,
-                               bloom_bits=1 << 16).to_pandas()
-    key = ["doc_num", "v"]
-    pd.testing.assert_frame_equal(
-        plain.sort_values(key).reset_index(drop=True),
-        bloom.sort_values(key).reset_index(drop=True))
-    assert len(bloom) == 5_000 - len(ids[::7])
-    # empty drop side: everything survives, schema intact
-    none = join.anti_join_ids(
-        base, rd.from_arrow(pa.table({"doc_num": pa.array([], type=pa.int64())})),
-        "doc_num", num_partitions=4, bloom_bits=1 << 16).to_pandas()
-    assert len(none) == 5_000 and set(none.columns) == {"doc_num", "v"}
+    absent = np.setdiff1d(np.arange(20_000, dtype=np.int64), ids)[:300]
+    cases = {
+        "some": ids[::7],  # ~14% dropped
+        "none": np.array([], dtype=np.int64),
+        "all": ids,
+        "absent": np.concatenate([absent, ids[:50]]),
+    }
+    for name, drop_ids in cases.items():
+        drops = rd.from_arrow(pa.table({"doc_num": pa.array(drop_ids, type=pa.int64())}))
+        want = np.sort(np.setdiff1d(ids, drop_ids))
+        for parts in (2, 4):
+            out = join.anti_join_ids(base, drops, "doc_num", num_partitions=parts)
+            # Arrow blocks, not to_pandas: Ray drops the columns of all-empty blocks
+            got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+            assert got.schema.names == ["doc_num", "v"], (name, parts)
+            doc = np.asarray(got["doc_num"], dtype=np.int64)
+            assert np.sort(doc).tolist() == want.tolist(), (name, parts)
+            assert (np.asarray(got["v"]) == doc * 3).all(), (name, parts)
 
 
 def test_bloom_no_false_negatives_and_fp_rate():
-    ids = np.arange(10_000, dtype=np.int64) * 37 + 5
-    m, k = 1 << 18, 4
-    bits = join._bloom_block(pa.table({"id": pa.array(ids)}), "id", m, k)
-    assert join._bloom_maybe(ids, bits, m, k).all()  # no false negatives
-    probe = np.arange(1_000_000, 1_050_000, dtype=np.int64)
-    fp = join._bloom_maybe(probe, bits, m, k).mean()
-    assert fp < 0.05  # (1-e^{-kn/m})^k ~ 0.3% at these parameters
+    """_aj_combine, the anti-join's per-partition filter: duplicate drop
+    ids, drop ids outside the rows, and a column-less rows table that
+    falls back to the empty schema."""
+    rows = pa.table({"id": pa.array([5, 1, 9, 1, 3], type=pa.int64()),
+                     "v": pa.array(["a", "b", "c", "d", "e"])})
+    empty = rows.slice(0, 0)
+
+    def drop(*ids):
+        return pa.table({"id": pa.array(ids, type=pa.int64())})
+
+    out = join._aj_combine(rows, drop(1, 1, 9, 9, 9), empty, "id")
+    assert out.to_pydict() == {"id": [5, 3], "v": ["a", "e"]}
+    out = join._aj_combine(rows, drop(2, 4, 100, -7), empty, "id")
+    assert out.equals(rows)
+    out = join._aj_combine(rows, drop(), empty, "id")
+    assert out.equals(rows)
+    out = join._aj_combine(pa.table({}), drop(1, 2), empty, "id")
+    assert out.num_rows == 0 and out.schema.equals(empty.schema)
 
 
 # ---- geodesic (great-circle) kNN ------------------------------------------

@@ -527,6 +527,29 @@ def test_exchange_edge_cases(ray_session):
         ds = res if aux_fn is None else res[0]
         assert set(ds.to_pandas()["sig"]) == {"k,b|k,c|k,a"}
 
+    # pandas-backed inputs hand the split DataFrame blocks: the same rows
+    # as their Arrow-backed twins
+    import pandas as pd
+
+    from versatiles_rs_ray.stages.join import anti_join_ids
+
+    def rows(ds, key):
+        return ds.to_pandas().sort_values(key).reset_index(drop=True)
+
+    df = pd.DataFrame({"doc_num": np.arange(40, dtype=np.int64),
+                       "v": np.arange(40, dtype=np.int64) * 3})
+    drops = pd.DataFrame({"doc_num": np.arange(0, 40, 6, dtype=np.int64)})
+    via_pandas = rows(hash_exchange(rd.from_pandas(df), "doc_num", ident, 2), "doc_num")
+    pd.testing.assert_frame_equal(via_pandas, rows(hash_exchange(
+        rd.from_arrow(pa.Table.from_pandas(df)), "doc_num", ident, 2), "doc_num"))
+    assert len(via_pandas) == 40
+    via_pandas = rows(anti_join_ids(rd.from_pandas(df), rd.from_pandas(drops),
+                                    "doc_num"), "doc_num")
+    pd.testing.assert_frame_equal(via_pandas, rows(anti_join_ids(
+        rd.from_arrow(pa.Table.from_pandas(df)),
+        rd.from_arrow(pa.Table.from_pandas(drops)), "doc_num"), "doc_num"))
+    assert via_pandas["doc_num"].tolist() == [i for i in range(40) if i % 6]
+
 
 def test_topk_per_key_ties_and_prune(ray_session):
     import pyarrow as pa

@@ -393,21 +393,28 @@ def test_duplicate_span_kernels_match_bruteforce(texts, k):
     assert got == want
 
 
-# ---- Bloom filter: no false negatives ever ---------------------------------
+# ---- anti-join filter: keeps exactly the ids not probed ---------------------
 
 
-@given(st.lists(st.integers(-2**62, 2**62), max_size=200),
-       st.lists(st.integers(-2**62, 2**62), max_size=50))
-def test_bloom_never_false_negative(members, probes):
+# wide ids, plus a narrow range so ids repeat within and across sides
+IDS = st.integers(-2**62, 2**62) | st.integers(-3, 3)
+
+
+@given(st.lists(IDS, max_size=200), st.lists(IDS, max_size=50),
+       st.lists(st.integers(0, 199), max_size=20))
+def test_bloom_never_false_negative(members, probes, picks):
+    """_aj_combine keeps exactly the rows whose id is not among the
+    probes, in order, duplicates included."""
     import pyarrow as pa
 
-    from versatiles_rs_ray.stages.join import _bloom_block, _bloom_maybe
+    from versatiles_rs_ray.stages.join import _aj_combine
 
-    m, k = 1 << 12, 3
-    bits = _bloom_block(
-        pa.table({"id": pa.array(members, type=pa.int64())}), "id", m, k)
-    ids = np.asarray(members + probes, dtype=np.int64)
-    if not len(ids):
-        return
-    maybe = _bloom_maybe(ids, bits, m, k)
-    assert maybe[:len(members)].all()  # members always "maybe"
+    if members:  # some probes hit rows
+        probes = probes + [members[i % len(members)] for i in picks]
+    rows = pa.table({"id": pa.array(members, type=pa.int64()),
+                     "pos": pa.array(range(len(members)), type=pa.int64())})
+    drop = pa.table({"id": pa.array(probes, type=pa.int64())})
+    out = _aj_combine(rows, drop, rows.slice(0, 0), "id")
+    gone = set(probes)
+    want = [(m, i) for i, m in enumerate(members) if m not in gone]
+    assert list(zip(out["id"].to_pylist(), out["pos"].to_pylist())) == want

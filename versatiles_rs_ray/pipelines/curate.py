@@ -135,10 +135,7 @@ def drop_near_duplicates(ds, *, id_col: str = "doc_id", text_col: str = "text",
         return t.select(["doc_num"])
 
     drop_ds = labels.map_batches(drops, batch_format="pyarrow")
-    # near-dup drops are typically a small corpus fraction: the
-    # Bloom runtime filter keeps definite survivors out of the
-    # anti-join exchange entirely (exact semantics preserved)
-    out = anti_join_ids(view, drop_ds, "doc_num", bloom_bits=1 << 24)
+    out = anti_join_ids(view, drop_ds, "doc_num")
     appended = [c for c, param in (("doc_num", id_col), ("text", text_col))
                 if c != param]
     return out.drop_columns(appended) if appended else out
@@ -280,7 +277,7 @@ def curate_corpus(ds, *, id_col: str = "doc_id", text_col: str = "text",
             drop_ppl = scores.map_batches(over_budget,
                                           batch_format="pyarrow")
         ds = _cb("ppl_gate",
-                 anti_join_ids(ds, drop_ppl, id_col, bloom_bits=1 << 24))
+                 anti_join_ids(ds, drop_ppl, id_col))
 
     if lang_fracs is not None:
         def add_num(b: pa.Table) -> pa.Table:

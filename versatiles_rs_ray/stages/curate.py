@@ -16,7 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..core.hashing import fmix64
-from .exchange import hash_exchange
+from .exchange import _remote_once, hash_exchange
 
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
@@ -301,7 +301,7 @@ def deterministic_shuffle(ds, id_col: str):
     keyed = ds.map_batches(functools.partial(_add_shuffle_key, id_col=id_col),
                            batch_format="pyarrow")
     s = keyed.sort(["shuffle_key", id_col])
-    rank_task = ray.remote(_rank_block)
+    rank_task = _remote_once(ray.remote, _rank_block)
     out_refs = []
     base = 0
     for bundle in s.iter_internal_ref_bundles():
@@ -391,7 +391,7 @@ def pack_sequences(ds, token_col: str, budget: int, order_col: str,
     import ray.data as rd
 
     s = ds.sort(order_col)
-    pack_task = ray.remote(num_returns=2)(_pack_block)
+    pack_task = _remote_once(ray.remote, _pack_block).options(num_returns=2)
     out_refs = []
     if exact_global:
         # carry state threads block-to-block as an ObjectRef: the

@@ -408,36 +408,23 @@ def _sig_rows(batch: pa.Table, k: int, num_perm: int, bands: int,
     return _sig_for(k, num_perm, bands, seed)(batch)
 
 
-def minhash_candidates(docs_ds, k=5, num_perm=64, bands=8, seed=42, num_partitions=16,
-                       sig_concurrency=None):
+def minhash_candidates(docs_ds, k=5, num_perm=64, bands=8, seed=42, num_partitions=16):
     """Candidate near-dup pairs (doc_a < doc_b), deduplicated.
 
     Both wide steps run through the hash exchange with vectorized
     kernels: bucket pair-generation (routed by LSH bucket) and pair
     dedup (routed by pair key) — no Ray groupby, no per-group pandas.
-
-    ``sig_concurrency=None`` (default) runs signatures as plain tasks
-    (per-process lru-cached constants, no pool ramp); pass an actor
-    tuple only if a deployment needs pinned signature actors.
+    Signatures run as plain tasks (``_sig_rows``).
     """
     import functools
 
     from .exchange import hash_exchange
 
-    if sig_concurrency is None:
-        band_rows = docs_ds.map_batches(
-            functools.partial(_sig_rows, k=k, num_perm=num_perm,
-                              bands=bands, seed=seed),
-            batch_format="pyarrow",
-        )
-    else:
-        band_rows = docs_ds.map_batches(
-            MinHashSignatures,
-            fn_constructor_kwargs={"k": k, "num_perm": num_perm,
-                                   "bands": bands, "seed": seed},
-            batch_format="pyarrow",
-            concurrency=sig_concurrency,
-        )
+    band_rows = docs_ds.map_batches(
+        functools.partial(_sig_rows, k=k, num_perm=num_perm,
+                          bands=bands, seed=seed),
+        batch_format="pyarrow",
+    )
     pairs = hash_exchange(
         band_rows, "route", _bucket_pairs_block, num_partitions=num_partitions
     )

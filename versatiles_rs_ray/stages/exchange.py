@@ -4,12 +4,12 @@ Ray Data's sort-based groupby costs ~60s to exchange 40M small rows on
 this box; the aggregation pattern here (combine-by-key where partials
 are already per-block combined) needs only a hash partition + per-
 partition merge. The engine drops below the Dataset API (SURVEY.md
-§7.0: raw tasks as a last resort) here and in three other places:
+§7.0: raw tasks as a last resort) here and in two other places:
 ``stages/curate.deterministic_shuffle`` and ``pack_sequences``, which
-rank or carry state over sorted blocks in order, and
-``stages/join.build_id_bloom``, a tree-OR of per-block bitmaps;
-``tests/test_engine_surface.py`` fails on any other raw-task site. The
-exchange keeps the Dataset contract at the output: a Dataset via
+rank or carry state over sorted blocks in order;
+``tests/test_engine_surface.py`` fails on any other raw-task site.
+Each site builds its task wrapper once per process (``_remote_once``).
+The exchange keeps the Dataset contract at the output: a Dataset via
 ``from_arrow_refs`` — blocks never touch the driver.
 
 One entry point, ``hash_exchange``, with one split source: a
@@ -38,10 +38,22 @@ num_partitions is the memory knob, like the reference's block grids
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
 _HASH_MULT = 0x9E3779B97F4A7C15
+
+
+@functools.cache
+def _remote_once(remote, fn):
+    """``remote(fn)``, built once per process. Each raw-task site passes
+    ``ray.remote`` from its own lazy ``import ray`` (engine modules do
+    not import ray at import time, and ``tests/test_engine_surface.py``
+    finds raw-task sites by that name) and sets per-call options such
+    as ``num_returns`` through ``.options``."""
+    return remote(fn)
 
 
 def _bucket_of(keys: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -52,7 +64,11 @@ def _bucket_of(keys: np.ndarray, num_partitions: int) -> np.ndarray:
 def _split_block(key_col: str, num_partitions: int, *tables):
     ok = []
     for t in tables:
-        if not len(t):  # an empty pandas-backed input passes its DataFrame block through
+        if not isinstance(t, pa.Table):  # a pandas-backed input's DataFrame block
+            from ray.data.block import BlockAccessor
+
+            t = BlockAccessor.for_block(t).to_arrow()
+        if not t.num_rows:
             continue
         if key_col not in t.column_names:
             raise ValueError(f"hash_exchange: key column {key_col!r} missing "
@@ -136,9 +152,11 @@ def hash_exchange(ds, key_col: str, combine_block_fn, num_partitions: int = 64,
     sizes = tuple(len(s) for s in per_input)
     split_lists = [s for splits in per_input for s in splits]
     if aux_fn is None:
-        reduce_task, fns = ray.remote(_reduce_partition), (combine_block_fn,)
+        reduce_task = _remote_once(ray.remote, _reduce_partition)
+        fns = (combine_block_fn,)
     else:
-        reduce_task = ray.remote(num_returns=2)(_reduce_partition_aux)
+        reduce_task = _remote_once(ray.remote, _reduce_partition_aux).options(
+            num_returns=2)
         fns = (combine_block_fn, aux_fn)
     outs = [
         reduce_task.remote(*fns, sizes, *[s[b] for s in split_lists])
@@ -167,7 +185,8 @@ def _stream_splits(ds, key_col: str, num_partitions: int):
     per-split lists of num_partitions output refs."""
     import ray
 
-    split_task = ray.remote(num_returns=num_partitions)(_split_block)
+    split_task = _remote_once(ray.remote, _split_block).options(
+        num_returns=num_partitions)
     split_lists = []
     pending = []
     group = 8  # blocks per split task; doubles once 48 splits are in flight

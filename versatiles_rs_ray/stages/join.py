@@ -26,7 +26,6 @@ import pandas as pd
 import pyarrow as pa
 
 from ..core import coords
-from ..core.hashing import fmix64
 from . import topk as topk_kernel
 from .assign import pack_tkey
 
@@ -117,8 +116,8 @@ class KnnPartial:
     Distance: squared euclidean on (lon, lat) degrees, ties broken by
     candidate doc_num — fully deterministic so the DuckDB oracle
     (cross join + row_number) agrees exactly. Each batch emits at most
-    k rows per query; the final exact top-k happens in a tiny
-    groupby(q).map_groups over (#batches x k) rows per query.
+    k rows per query; ``knn_join`` takes the final exact top-k over
+    those (#batches x k) rows per query on the driver.
     """
 
     def __init__(self, q_ids, q_lon, q_lat, k: int, exclude_self=True,
@@ -193,7 +192,7 @@ class KnnPartial:
 
 
 def _batch_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Per-batch combiner: keep k best (d2, n_doc) rows per query."""
+    """The driver's final top-k: keep the k best (d2, n_doc) rows per query."""
     df = df.sort_values(["q_doc", "d2", "n_doc"], kind="mergesort")
     return df.groupby("q_doc", sort=False).head(k)
 
@@ -215,11 +214,10 @@ def knn_join(docs_ds, q_ids, q_lon, q_lat, k: int, exclude_self=True,
     shape); metric='sphere' ranks by great-circle distance (negative
     unit-sphere dot — monotone, transcendental-exact vs SQL).
 
-    Tree-reduce shape: per-candidate-batch partial top-k (k rows per
-    query per batch) -> one combiner pass over large batches -> tiny
-    driver-side finish. No keyed shuffle at all: the reduction volume
-    is (blocks x Q x k), re-collapsed by the combiner pass, so the
-    driver only ever sees O(Q x k x combine_blocks) rows.
+    Shape: per-candidate-batch partial top-k (``KnnPartial``, at most
+    k rows per query per batch), gathered to the driver, where one
+    ``_batch_topk`` pass keeps the k best per query. No keyed shuffle
+    at all: the driver sees (batches x Q x k) rows.
     """
     partials = docs_ds.map_batches(
         KnnPartial(q_ids, q_lon, q_lat, k, exclude_self, metric=metric),
@@ -899,58 +897,21 @@ def _aj_combine(rows: pa.Table, drop: pa.Table, empty: pa.Table,
     return rows.filter(pa.array(keep))
 
 
-def _bloom_split(batch: pa.Table, id_col: str, bloom_ref, m_bits: int,
-                 k: int, want_maybe: bool) -> pa.Table:
-    import ray
-
-    bits = ray.get(bloom_ref)  # plasma-shared, zero-copy per worker
-    maybe = _bloom_maybe(np.asarray(batch[id_col], dtype=np.int64),
-                         bits, m_bits, k)
-    mask = maybe if want_maybe else ~maybe
-    if mask.all():
-        return batch
-    return batch.filter(pa.array(mask))
-
-
-def anti_join_ids(ds, drop_ds, id_col: str, num_partitions: int = 32,
-                  bloom_bits: int | None = None):
+def anti_join_ids(ds, drop_ds, id_col: str, num_partitions: int = 32):
     """Distributed anti-join: rows of ``ds`` whose int64 ``id_col`` is
     NOT present in ``drop_ds[id_col]``. Both inputs co-group on the
     id through one hash exchange; each partition filters with one
     vectorized ``isin`` — no broadcast of the drop set, so the drop
     side may be as large as the data (the dedup-survivor case, where
-    duplicates can dominate a crawl corpus).
-
-    ``bloom_bits`` enables the Spark-style runtime filter: a Bloom
-    bitmap over the drop ids (tree-OR'd Ray reduce, ~bloom_bits/8
-    bytes broadcast once) lets the map side emit definite non-members
-    DIRECTLY — only "possibly dropped" rows (drop hits + the bitmap's
-    false positives) pay the exchange. Semantics are exactly unchanged
-    (Bloom has no false negatives; the exact pass judges every
-    candidate); it is pure shuffle reduction for the common case where
-    drops are a small fraction of the corpus. Costs one extra pass
-    over drop_ds to build the bitmap."""
+    duplicates can dominate a crawl corpus)."""
     import functools
 
     from .exchange import _empty_table, hash_exchange
 
-    empty = _empty_table(ds)
-    direct = None
-    if bloom_bits:
-        bref, m, k = build_id_bloom(drop_ds, id_col, m_bits=bloom_bits)
-        direct = ds.map_batches(
-            functools.partial(_bloom_split, id_col=id_col, bloom_ref=bref,
-                              m_bits=m, k=k, want_maybe=False),
-            batch_format="pyarrow")
-        ds = ds.map_batches(
-            functools.partial(_bloom_split, id_col=id_col, bloom_ref=bref,
-                              m_bits=m, k=k, want_maybe=True),
-            batch_format="pyarrow")
-    out = hash_exchange(
+    return hash_exchange(
         [ds, drop_ds.select_columns([id_col])], id_col,
-        functools.partial(_aj_combine, empty=empty, id_col=id_col),
+        functools.partial(_aj_combine, empty=_empty_table(ds), id_col=id_col),
         num_partitions=num_partitions)
-    return out.union(direct) if direct is not None else out
 
 
 # ---- general hash equi-join ----------------------------------------------
@@ -1050,76 +1011,3 @@ def hash_join(left_ds, right_ds, on: str, how: str = "inner",
         num_partitions=num_partitions)
     keep = [on, *l_cols] if how in ("semi", "anti") else [on, *l_cols, *r_cols]
     return out.select_columns(keep)
-
-
-# ---- Bloom runtime filter for the anti-join --------------------------------
-#
-# The Spark-style shuffle-reduction move: when the drop side is a small
-# fraction of the corpus (the usual dedup outcome), shipping EVERY
-# corpus row through the co-partitioning exchange wastes the exchange
-# on rows that could never match. A Bloom filter over the drop ids
-# (no false negatives) lets the map side keep definite non-members
-# immediately; only "possibly dropped" rows pay the exact exchange.
-
-
-def _bloom_positions(ids: np.ndarray, m_bits: int, k: int) -> np.ndarray:
-    """k double-hashed bit positions per id, flattened (murmur fmix64
-    mixes; h1 + i*h2 double hashing per Kirsch-Mitzenmacher)."""
-    u = ids.astype(np.uint64)
-    h1 = fmix64(u ^ np.uint64(0x9E3779B97F4A7C15))
-    h2 = fmix64(u ^ np.uint64(0xC2B2AE3D27D4EB4F)) | np.uint64(1)
-    i = np.arange(k, dtype=np.uint64)[None, :]
-    with np.errstate(over="ignore"):
-        pos = (h1[:, None] + i * h2[:, None]) % np.uint64(m_bits)
-    return pos.reshape(-1)
-
-
-def _bloom_block(tbl: pa.Table, id_col: str, m_bits: int, k: int) -> np.ndarray:
-    bits = np.zeros(m_bits // 8, dtype=np.uint8)
-    if tbl.num_rows and id_col in tbl.column_names:
-        pos = _bloom_positions(np.asarray(tbl[id_col], dtype=np.int64),
-                               m_bits, k)
-        np.bitwise_or.at(bits, (pos >> np.uint64(3)).astype(np.int64),
-                         np.left_shift(np.uint8(1),
-                                       (pos & np.uint64(7)).astype(np.uint8)))
-    return bits
-
-
-def _or_bitmaps(*bitmaps):
-    out = bitmaps[0].copy()
-    for b in bitmaps[1:]:
-        np.bitwise_or(out, b, out=out)
-    return out
-
-
-def build_id_bloom(drop_ds, id_col: str, m_bits: int = 1 << 24, k: int = 4):
-    """Distributed Bloom build: one bitmap partial per drop block,
-    tree-OR'd with Ray tasks (driver holds refs, never all bitmaps).
-    Returns (object ref of the packed uint8 bitmap, m_bits, k).
-    Memory: m_bits/8 bytes per in-flight partial — 2 MB at the 2^24
-    default, sized for ~1M drops at <1% false-positive; scale m_bits
-    with the expected drop count (fp rate ~ (1-e^{-kn/m})^k)."""
-    import ray
-
-    m_bits = max(64, (int(m_bits) + 7) // 8 * 8)  # byte-aligned bitmap
-    bloom_task = ray.remote(_bloom_block)
-    or_task = ray.remote(_or_bitmaps)
-    refs = [bloom_task.remote(ref, id_col, m_bits, k)
-            for bundle in drop_ds.iter_internal_ref_bundles()
-            for ref in bundle.block_refs]
-    if not refs:
-        refs = [ray.put(np.zeros(m_bits // 8, dtype=np.uint8))]
-    while len(refs) > 1:
-        refs = [or_task.remote(*refs[i:i + 8])
-                for i in range(0, len(refs), 8)]
-    return refs[0], m_bits, k
-
-
-def _bloom_maybe(ids: np.ndarray, bits: np.ndarray, m_bits: int,
-                 k: int) -> np.ndarray:
-    """True where the id is POSSIBLY in the filter (false positives
-    allowed, false negatives impossible)."""
-    pos = _bloom_positions(ids, m_bits, k).reshape(len(ids), k)
-    byte = bits[(pos >> np.uint64(3)).astype(np.int64)]
-    bit = np.left_shift(np.uint8(1), (pos & np.uint64(7)).astype(np.uint8))
-    return ((byte & bit) != 0).all(axis=1)
